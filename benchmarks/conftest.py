@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from repro.experiments.cache import get_study
+from repro.experiments.spec import RunSpec
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -25,7 +26,7 @@ STUDY_SEED = 2002
 @pytest.fixture(scope="session")
 def study():
     """The full-length Table 1 sweep (built once per session)."""
-    return get_study(seed=STUDY_SEED, duration_scale=1.0)
+    return get_study(RunSpec(seed=STUDY_SEED, duration_scale=1.0))
 
 
 def pytest_sessionfinish(session, exitstatus):

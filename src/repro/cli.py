@@ -58,6 +58,56 @@ from typing import List, Optional
 from repro._version import __version__
 
 
+#: The run-spec flags commands share, by name: (option strings, argparse
+#: keywords).  :func:`_spec_flags` builds a parent parser from a subset,
+#: and :func:`_spec_from_args` turns the parsed values into a RunSpec.
+_SPEC_FLAGS = {
+    "jobs": (("--jobs",), dict(
+        type=int, default=1,
+        help="worker processes for the sweep (0 = one per CPU; default "
+             "%(default)s); results are identical to a sequential run's")),
+    "set": (("--set",), dict(
+        type=int, default=None, dest="set_number",
+        help="one Table 1 clip set to sweep (default %(default)s; None "
+             "sweeps them all)")),
+    "faults": (("--faults",), dict(
+        default=None, dest="fault_scenario",
+        type=lambda name: None if name == "none" else name,
+        help="arm a named fault scenario (see `repro faults --list`; "
+             "default %(default)s; 'none' for a clean run)")),
+    "cc": (("--cc",), dict(
+        default=None, dest="cc_kind",
+        help="arm a congestion controller (see `repro cc --list`)")),
+    "abr": (("--abr",), dict(
+        action="store_true",
+        help="run on the ABR segment-ladder transport")),
+    "repair": (("--repair",), dict(
+        action="store_true",
+        help="arm the default loss-repair stack")),
+    "fast_path": (("--fast-path",), dict(
+        nargs="?", const="on", choices=["on", "strict"], default=None,
+        dest="fast_path",
+        help="deliver uncontended packet trains analytically instead of "
+             "event-per-packet (see repro.netsim.flowlevel); 'strict' "
+             "accepts only provably-exact trains")),
+}
+
+
+def _spec_flags(*names: str, **defaults) -> argparse.ArgumentParser:
+    """A parent parser with ``--seed``, ``--scale`` and the named
+    :data:`_SPEC_FLAGS`, under one command's ``defaults`` (by dest)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--seed", type=int, default=2002)
+    parent.add_argument("--scale", type=float, default=1.0,
+                        help="clip duration scale (default %(default)s; "
+                             "use <1 for a fast run)")
+    for name in names:
+        flags, options = _SPEC_FLAGS[name]
+        parent.add_argument(*flags, **options)
+    parent.set_defaults(**defaults)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -68,22 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     study = commands.add_parser(
-        "study", help="run the full Table 1 sweep and print the report")
-    study.add_argument("--seed", type=int, default=2002)
-    study.add_argument("--scale", type=float, default=1.0,
-                       help="clip duration scale (use <1 for a fast run)")
-    study.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sweep "
-                            "(0 = one per CPU; default 1, sequential)")
+        "study", parents=[_spec_flags("jobs", "fast_path")],
+        help="run the full Table 1 sweep and print the report")
     study.add_argument("--no-cache", action="store_true",
                        help="always simulate; skip the study caches")
-    study.add_argument("--fast-path", nargs="?", const="on",
-                       choices=["on", "strict"], default=None,
-                       dest="fast_path",
-                       help="deliver uncontended packet trains "
-                            "analytically instead of event-per-packet "
-                            "(see repro.netsim.flowlevel); 'strict' "
-                            "accepts only provably-exact trains")
     study.add_argument("--progress", action="store_true",
                        help="live status line while the sweep runs "
                             "(single in-place line on a TTY; one "
@@ -98,11 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a standalone HTML report")
 
     figure = commands.add_parser(
-        "figure", help="regenerate one paper artifact")
+        "figure", parents=[_spec_flags()],
+        help="regenerate one paper artifact")
     figure.add_argument("figure_id",
                         help="fig01..fig15, table1, or sec4")
-    figure.add_argument("--seed", type=int, default=2002)
-    figure.add_argument("--scale", type=float, default=1.0)
     figure.add_argument("--plots", action="store_true")
     figure.add_argument("--csv", help="also write the data as CSV")
 
@@ -124,17 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     boundary.add_argument("--seed", type=int, default=2002)
 
     scorecard = commands.add_parser(
-        "scorecard", help="check every paper claim; nonzero on failure "
-                          "(--modern: then-vs-now transport comparison)")
-    scorecard.add_argument("--seed", type=int, default=2002)
-    scorecard.add_argument("--scale", type=float, default=1.0)
+        "scorecard", parents=[_spec_flags("jobs")],
+        help="check every paper claim; nonzero on failure "
+             "(--modern: then-vs-now transport comparison)")
     scorecard.add_argument("--modern", action="store_true",
                            help="compare the 2002 transports against "
                                 "AIMD / delay-gradient congestion "
                                 "control and the ABR ladder")
-    scorecard.add_argument("--jobs", type=int, default=1,
-                           help="worker processes per transport study "
-                                "(--modern only; 0 = one per CPU)")
     scorecard.add_argument("--transports", default=None,
                            help="comma-separated transport subset for "
                                 "--modern (default: 2002,aimd,gcc,abr)")
@@ -143,15 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "rate chart as SVG")
 
     telemetry = commands.add_parser(
-        "telemetry", help="run the Table 1 sweep with telemetry enabled "
-                          "and summarize/export what it saw")
-    telemetry.add_argument("--seed", type=int, default=2002)
-    telemetry.add_argument("--scale", type=float, default=1.0,
-                           help="clip duration scale (use <1 for a fast run)")
-    telemetry.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the sweep (0 = one "
-                                "per CPU); merged telemetry is identical "
-                                "to a sequential run's")
+        "telemetry", parents=[_spec_flags("jobs")],
+        help="run the Table 1 sweep with telemetry enabled "
+             "and summarize/export what it saw")
     telemetry.add_argument("--json",
                            help="write the deterministic JSON summary")
     telemetry.add_argument("--events",
@@ -171,15 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "overflows")
 
     spans = commands.add_parser(
-        "spans", help="run the sweep with span tracing; print per-hop "
-                      "waterfalls and the latency-attribution table")
-    spans.add_argument("--seed", type=int, default=2002)
-    spans.add_argument("--scale", type=float, default=1.0,
-                       help="clip duration scale (use <1 for a fast run)")
-    spans.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the sweep (0 = one per "
-                            "CPU); the merged span forest is identical "
-                            "to a sequential run's")
+        "spans", parents=[_spec_flags("jobs")],
+        help="run the sweep with span tracing; print per-hop "
+             "waterfalls and the latency-attribution table")
     spans.add_argument("--top", type=int, default=5,
                        help="slowest ADUs rendered as waterfalls")
     spans.add_argument("--json",
@@ -191,54 +212,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the span forest as JSON lines")
 
     faults = commands.add_parser(
-        "faults", help="run one pair experiment under a fault scenario "
-                       "and print the recovery report")
+        "faults", parents=[_spec_flags("repair", scale=0.25)],
+        help="run one pair experiment under a fault scenario "
+             "and print the recovery report")
     faults.add_argument("scenario", nargs="?", default="link-flap",
                         help="scenario name (see --list); "
                              "default: link-flap")
     faults.add_argument("--list", action="store_true",
                         dest="list_scenarios",
                         help="list the known scenarios and exit")
-    faults.add_argument("--seed", type=int, default=2002)
-    faults.add_argument("--scale", type=float, default=0.25,
-                        help="clip duration scale (default 0.25: the "
-                             "scenario's event times scale with it)")
     faults.add_argument("--events",
                         help="write the run's trace-event stream as "
                              "JSON lines")
-    faults.add_argument("--repair", action="store_true",
-                        help="also arm the default loss-repair stack; "
-                             "the report gains a loss-repair line")
 
     cc = commands.add_parser(
-        "cc", help="run one clip set under a congestion controller and "
-                   "print its state summary")
+        "cc", parents=[_spec_flags("set", scale=0.12, set_number=3)],
+        help="run one clip set under a congestion controller and "
+             "print its state summary")
     cc.add_argument("controller", nargs="?", default=None,
                     help="controller name (see --list)")
     cc.add_argument("--list", action="store_true",
                     dest="list_controllers",
                     help="list the known controllers and exit")
-    cc.add_argument("--seed", type=int, default=2002)
-    cc.add_argument("--scale", type=float, default=0.12,
-                    help="clip duration scale (default 0.12: one short "
-                         "set is enough to watch a controller move)")
-    cc.add_argument("--set", type=int, default=3, dest="set_number",
-                    help="Table 1 clip set to stream (default 3)")
 
     repair = commands.add_parser(
-        "repair", help="run one clip set with the loss-repair stack "
-                       "armed and print the repair/QoE report")
-    repair.add_argument("--seed", type=int, default=2002)
-    repair.add_argument("--scale", type=float, default=0.12,
-                        help="clip duration scale (default 0.12: one "
-                             "short set is enough to watch repair work)")
-    repair.add_argument("--set", type=int, default=3, dest="set_number",
-                        help="Table 1 clip set to stream (default 3)")
-    repair.add_argument("--faults", default="burst-loss",
-                        dest="fault_scenario",
-                        help="fault scenario driving the loss (see "
-                             "`repro faults --list`; default burst-loss; "
-                             "'none' for a clean run)")
+        "repair", parents=[_spec_flags("set", "faults", scale=0.12,
+                                       set_number=3,
+                                       fault_scenario="burst-loss")],
+        help="run one clip set with the loss-repair stack "
+             "armed and print the repair/QoE report")
     repair.add_argument("--fec-group", type=int, default=8,
                         help="media datagrams per XOR parity group "
                              "(0 disables FEC; default 8)")
@@ -249,42 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the repair/QoE summary as JSON")
 
     validate = commands.add_parser(
-        "validate", help="check a seeded study against the runtime "
-                         "invariant catalog; nonzero on any violation")
-    validate.add_argument("--seed", type=int, default=2002)
-    validate.add_argument("--scale", type=float, default=0.25,
-                          help="clip duration scale (default 0.25: the "
-                               "invariants hold at any scale)")
-    validate.add_argument("--set", type=int, default=None, dest="set_number",
-                          help="restrict to one Table 1 clip set "
-                               "(default: the full sweep)")
-    validate.add_argument("--faults", default=None, dest="fault_scenario",
-                          help="also arm a named fault scenario "
-                               "(see `repro faults --list`)")
+        "validate", parents=[_spec_flags("jobs", "set", "faults", "cc",
+                                         "abr", "repair", "fast_path",
+                                         scale=0.25, jobs=2)],
+        help="check a seeded study against the runtime "
+             "invariant catalog; nonzero on any violation")
     validate.add_argument("--study", action="store_true",
                           dest="differential",
                           help="differential oracle: run the study "
                                "sequentially, in parallel, and through "
-                               "the disk cache, and diff every surface")
-    validate.add_argument("--jobs", type=int, default=2,
-                          help="worker processes for the parallel leg "
-                               "of --study (default 2)")
+                               "the disk cache, and diff every surface "
+                               "(--jobs sizes the parallel leg)")
     validate.add_argument("--golden", action="store_true",
                           help="re-run the pinned golden scenarios and "
                                "diff their digests")
-    validate.add_argument("--cc", default=None, dest="cc_kind",
-                          help="arm a congestion controller "
-                               "(see `repro cc --list`)")
-    validate.add_argument("--abr", action="store_true",
-                          help="run on the ABR segment-ladder transport")
-    validate.add_argument("--repair", action="store_true",
-                          help="arm the default loss-repair stack")
-    validate.add_argument("--fast-path", nargs="?", const="on",
-                          choices=["on", "strict"], default=None,
-                          dest="fast_path",
-                          help="arm the flow-level fast path so the "
-                               "fastpath-equivalence invariant refolds "
-                               "its train ledger")
 
     watch = commands.add_parser(
         "watch", help="flag anomalies in a streamed study's per-run "
@@ -346,31 +326,74 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _check_sweep_args(args: argparse.Namespace) -> Optional[int]:
-    """Shared ``--scale`` / ``--jobs`` sanity for the sweep commands."""
+class _UsageError(Exception):
+    """A bad argument: :func:`main` prints it on stderr and exits 2."""
+
+
+def _spec_from_args(args: argparse.Namespace):
+    """The :class:`~repro.experiments.spec.RunSpec` the shared flags
+    describe, checked against the compatibility table.
+
+    Raises:
+        _UsageError: for a bad value or a refused feature pair.
+    """
+    from repro.cc.abr import AbrConfig
+    from repro.cc.base import CcConfig
+    from repro.errors import ReproError
+    from repro.experiments.datasets import build_table1_library
+    from repro.experiments.spec import RunSpec
+    from repro.faults import build_scenario
+    from repro.media.library import ClipLibrary
+    from repro.netsim.flowlevel import FlowLevelConfig
+    from repro.repair import RepairConfig
+
+    options = vars(args)
     if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
-    if getattr(args, "jobs", 0) < 0:
-        return _usage_error(f"--jobs must be >= 0, got {args.jobs}")
-    return None
+        raise _UsageError(f"--scale must be positive, got {args.scale}")
+    if options.get("jobs", 1) < 0:
+        raise _UsageError(f"--jobs must be >= 0, got {args.jobs}")
+    # `repro faults NAME` and `repro cc NAME` take positionally what
+    # the other commands take as --faults / --cc.
+    fault = options.get("scenario") or options.get("fault_scenario")
+    cc_kind = options.get("controller") or options.get("cc_kind")
+    fast_path = options.get("fast_path")
+    try:
+        library = None
+        if options.get("set_number") is not None:
+            full = build_table1_library(duration_scale=args.scale)
+            library = ClipLibrary()
+            library.add_set(full.get_set(args.set_number))
+        repair = None
+        if "fec_group" in options:  # `repro repair` tunes what it arms
+            repair = RepairConfig(fec_group=args.fec_group,
+                                  nack=not args.no_nack)
+        elif options.get("repair"):
+            repair = RepairConfig()
+        spec = RunSpec(
+            library=library, seed=args.seed, duration_scale=args.scale,
+            scenario=(build_scenario(fault, args.seed)
+                      if fault is not None else None),
+            cc=CcConfig(kind=cc_kind) if cc_kind is not None else None,
+            abr=AbrConfig() if options.get("abr") else None,
+            repair=repair,
+            fast_path=(FlowLevelConfig(strict=fast_path == "strict")
+                       if fast_path is not None else None))
+        spec.check()
+    except ReproError as exc:
+        raise _UsageError(f"error: {exc}") from exc
+    return spec
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
     import json as json_module
     import resource
     import time
+    from dataclasses import replace
 
     from repro.experiments.report import build_report
-    from repro.experiments.runner import run_study
+    from repro.experiments.runner import run_spec
 
-    bad = _check_sweep_args(args)
-    if bad is not None:
-        return bad
-    fast_path = None
-    if args.fast_path is not None:
-        from repro.netsim.flowlevel import FlowLevelConfig
-
-        fast_path = FlowLevelConfig(strict=(args.fast_path == "strict"))
+    spec = _spec_from_args(args)
     record_stream = None
     if args.stream_jsonl:
         try:
@@ -415,30 +438,19 @@ def _cmd_study(args: argparse.Namespace) -> int:
         def progress(beat) -> None:
             for callback in callbacks:
                 callback(beat)
-    streaming = bool(args.progress or args.stream_jsonl)
+    spec = replace(spec, stream=bool(args.progress or args.stream_jsonl))
     started = time.perf_counter()
     try:
         if args.no_cache or args.stream_jsonl:
             # --stream-jsonl implies a fresh simulation: per-run records
             # cannot be replayed out of a cached sweep.
-            stream = None
-            if streaming:
-                from repro.telemetry.streaming import StreamingSummary
-
-                stream = StreamingSummary()
-            study = run_study(seed=args.seed, duration_scale=args.scale,
-                              jobs=args.jobs, stream=stream,
-                              fast_path=fast_path, progress=progress)
+            study = run_spec(spec, jobs=args.jobs, progress=progress)
             source = ("cache off" if args.no_cache
                       else "cache bypassed (--stream-jsonl)")
         else:
             from repro.experiments.cache import load_or_run_study
 
-            study, origin = load_or_run_study(seed=args.seed,
-                                              duration_scale=args.scale,
-                                              jobs=args.jobs,
-                                              stream=streaming,
-                                              fast_path=fast_path,
+            study, origin = load_or_run_study(spec, jobs=args.jobs,
                                               progress=progress)
             source = ("disk cache hit" if origin == "disk"
                       else "memory cache hit" if origin == "memory"
@@ -463,14 +475,14 @@ def _cmd_study(args: argparse.Namespace) -> int:
             state = "warm" if info["studies"] > 1 else "cold"
             exec_note += (f", pool {state} "
                           f"({info['workers']} workers)")
-    fast_note = f", fast-path {args.fast_path}" if fast_path else ""
+    fast_note = f", fast-path {args.fast_path}" if args.fast_path else ""
     # ru_maxrss is KiB on Linux: the process-lifetime high-water mark,
     # which is exactly the number the bounded-memory claim is about.
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"# study sweep: {len(study)} pair runs in {elapsed:.2f}s "
           f"(seed {args.seed}, scale {args.scale}{jobs_note}{exec_note}"
           f"{fast_note}, {source}, peak rss {peak_kib / 1024:.0f} MiB)\n")
-    if fast_path is not None and ran_now:
+    if spec.fast_path is not None and ran_now:
         fast = sum(r.fastpath.packets_fast for r in study.runs
                    if r.fastpath is not None)
         fell = sum(r.fastpath.packets_fallback for r in study.runs
@@ -497,16 +509,14 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures import ALL_FIGURES
-    from repro.experiments.runner import run_study
+    from repro.experiments.runner import run_spec
 
     generator = ALL_FIGURES.get(args.figure_id)
     if generator is None:
         print(f"unknown figure {args.figure_id!r}; choose from: "
               f"{', '.join(sorted(ALL_FIGURES))}", file=sys.stderr)
         return 2
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
-    study = run_study(seed=args.seed, duration_scale=args.scale)
+    study = run_spec(_spec_from_args(args))
     result = generator(study)
     print(result.render(plot=args.plots))
     if args.csv:
@@ -641,12 +651,10 @@ def _cmd_pcap_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_study
+    from repro.experiments.runner import run_spec
     from repro.experiments.scorecard import render_scorecard, run_scorecard
 
-    bad = _check_sweep_args(args)
-    if bad is not None:
-        return bad
+    spec = _spec_from_args(args)
     if args.modern:
         from repro.errors import ExperimentError
         from repro.experiments.modern import (
@@ -660,9 +668,7 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
                             if name.strip())
                       if args.transports else None)
         try:
-            card = run_modern_scorecard(seed=args.seed,
-                                        duration_scale=args.scale,
-                                        jobs=args.jobs,
+            card = run_modern_scorecard(spec, jobs=args.jobs,
                                         transports=transports)
         except ExperimentError as exc:
             return _usage_error(f"error: {exc}")
@@ -672,18 +678,14 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
                 stream.write(scorecard_svg(card))
             print(f"wrote {args.svg}")
         return 0
-    study = run_study(seed=args.seed, duration_scale=args.scale)
-    results = run_scorecard(study)
+    results = run_scorecard(run_spec(spec))
     print(render_scorecard(results))
     return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_cc(args: argparse.Namespace) -> int:
-    from repro.cc.base import CcConfig, cc_descriptions
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
-    from repro.experiments.runner import run_study
-    from repro.media.library import ClipLibrary
+    from repro.cc.base import cc_descriptions
+    from repro.experiments.runner import run_spec
     from repro.telemetry import MemorySink, Telemetry
     from repro.telemetry.events import CC_STATE
 
@@ -694,23 +696,10 @@ def _cmd_cc(args: argparse.Namespace) -> int:
     if args.controller is None:
         return _usage_error(
             "a controller name is required (or --list to see them)")
-    try:
-        config = CcConfig(kind=args.controller)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
-
-    full = build_table1_library(duration_scale=args.scale)
-    try:
-        clip_set = full.get_set(args.set_number)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
-    library = ClipLibrary()
-    library.add_set(clip_set)
+    spec = _spec_from_args(args)
+    config = spec.cc
     telemetry = Telemetry(sinks=[MemorySink()])
-    study = run_study(library=library, seed=args.seed,
-                      telemetry=telemetry, cc=config)
+    study = run_spec(spec, telemetry=telemetry)
     samples = [event for event in telemetry.memory_events()
                if event.type == CC_STATE]
     telemetry.close()
@@ -746,7 +735,7 @@ def _cmd_cc(args: argparse.Namespace) -> int:
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
-    from repro.experiments.runner import run_study
+    from repro.experiments.runner import run_spec
     from repro.telemetry import (
         JsonlSink,
         MemorySink,
@@ -762,9 +751,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         print(f"--top must be a positive integer, got {args.top}",
               file=sys.stderr)
         return 2
-    bad = _check_sweep_args(args)
-    if bad is not None:
-        return bad
+    spec = _spec_from_args(args)
     if args.ring_capacity is not None and args.ring_capacity < 0:
         return _usage_error(f"--ring-capacity must be >= 0, "
                             f"got {args.ring_capacity}")
@@ -777,8 +764,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         sinks.append(JsonlSink(args.events))
     profiler = SimProfiler() if args.profile else None
     telemetry = Telemetry(sinks=sinks, profiler=profiler)
-    study = run_study(seed=args.seed, duration_scale=args.scale,
-                      telemetry=telemetry, jobs=args.jobs)
+    study = run_spec(spec, telemetry=telemetry, jobs=args.jobs)
     registry = telemetry.registry
     if not list(registry.counters()) and not telemetry.memory_events():
         print("error: the run recorded no telemetry (no counters, no "
@@ -892,7 +878,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.report import format_table
-    from repro.experiments.runner import run_study
+    from repro.experiments.runner import run_spec
     from repro.telemetry import (
         SpanRecorder,
         Telemetry,
@@ -909,13 +895,10 @@ def _cmd_spans(args: argparse.Namespace) -> int:
         print(f"--top must be a positive integer, got {args.top}",
               file=sys.stderr)
         return 2
-    bad = _check_sweep_args(args)
-    if bad is not None:
-        return bad
+    spec = _spec_from_args(args)
     recorder = SpanRecorder()
     telemetry = Telemetry(spans=recorder)
-    study = run_study(seed=args.seed, duration_scale=args.scale,
-                      telemetry=telemetry, jobs=args.jobs)
+    study = run_spec(spec, telemetry=telemetry, jobs=args.jobs)
     latencies = attribute_latency(recorder)
     if not latencies:
         print("error: the run recorded no completed ADU traces; nothing "
@@ -964,8 +947,6 @@ def _cmd_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
     from repro.experiments.runner import run_pair_experiment, study_conditions
     from repro.faults import build_scenario, recovery_report, scenario_names
     from repro.telemetry import JsonlSink, MemorySink, Telemetry
@@ -978,34 +959,19 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             description = build_scenario(name, args.seed).description
             print(f"{name:<18} {description}")
         return 0
-    try:
-        scenario = build_scenario(args.scenario, args.seed)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.scale <= 0:
-        print(f"--scale must be positive, got {args.scale}",
-              file=sys.stderr)
-        return 2
-
-    library = build_table1_library(duration_scale=args.scale)
-    clip_set, pair = library.all_pairs()[0]
-    conditions = study_conditions(args.seed, 0)
+    spec = _spec_from_args(args)
+    clip_set, pair = spec.clip_library().all_pairs()[0]
+    conditions = study_conditions(spec.seed, 0)
     sinks = [MemorySink()]
     if args.events:
         sinks.append(JsonlSink(args.events))
-    repair = None
-    if args.repair:
-        from repro.repair import RepairConfig
-
-        repair = RepairConfig()
     telemetry = Telemetry(sinks=sinks)
-    result = run_pair_experiment(clip_set, pair, seed=args.seed,
+    result = run_pair_experiment(clip_set, pair, seed=spec.seed,
                                  conditions=conditions,
-                                 telemetry=telemetry, scenario=scenario,
-                                 repair=repair)
+                                 telemetry=telemetry,
+                                 scenario=spec.scenario, repair=spec.repair)
     report = recovery_report(telemetry.memory_events(),
-                             scenario=scenario.name)
+                             scenario=spec.scenario.name)
     telemetry.close()
     print(f"# fault run: set {clip_set.number} {pair.band.value} "
           f"(seed {args.seed}, scale {args.scale}, "
@@ -1027,49 +993,23 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_repair(args: argparse.Namespace) -> int:
     import json as json_module
+    from dataclasses import replace
 
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
-    from repro.experiments.runner import run_study
-    from repro.faults import build_scenario
-    from repro.media.library import ClipLibrary
-    from repro.repair import RepairConfig
+    from repro.experiments.runner import run_spec
     from repro.telemetry import MemorySink, Telemetry
-    from repro.telemetry.streaming import StreamingSummary
 
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
-    try:
-        config = RepairConfig(fec_group=args.fec_group,
-                              nack=not args.no_nack)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
+    spec = _spec_from_args(args)
+    config = spec.repair
     if config.is_null:
         return _usage_error(
             "error: --fec-group 0 with --no-nack arms no repair "
             "mechanism at all; nothing to report")
-    scenario = None
-    if args.fault_scenario != "none":
-        try:
-            scenario = build_scenario(args.fault_scenario, args.seed)
-        except ReproError as exc:
-            return _usage_error(f"error: {exc}")
-
-    full = build_table1_library(duration_scale=args.scale)
-    try:
-        clip_set = full.get_set(args.set_number)
-    except ReproError as exc:
-        return _usage_error(f"error: {exc}")
-    library = ClipLibrary()
-    library.add_set(clip_set)
     telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
-    stream = StreamingSummary()
-    study = run_study(library=library, seed=args.seed,
-                      telemetry=telemetry, scenario=scenario,
-                      repair=config, stream=stream)
+    study = run_spec(replace(spec, stream=True), telemetry=telemetry)
     telemetry.close()
+    stream = study.streaming
 
-    fault_note = (args.fault_scenario if scenario is not None
+    fault_note = (args.fault_scenario if spec.scenario is not None
                   else "no faults")
     print(f"# repair: {len(study)} pair runs (seed {args.seed}, "
           f"scale {args.scale}, set {args.set_number}, {fault_note}, "
@@ -1110,13 +1050,9 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.cc.abr import AbrConfig
-    from repro.cc.base import CcConfig
-    from repro.errors import ReproError
-    from repro.experiments.datasets import build_table1_library
-    from repro.experiments.runner import run_study
-    from repro.faults import build_scenario
-    from repro.media.library import ClipLibrary
+    from dataclasses import replace
+
+    from repro.experiments.runner import run_spec
     from repro.validate import (
         GOLDEN_SCENARIOS,
         RunValidator,
@@ -1124,11 +1060,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         run_differential,
     )
 
-    if args.scale <= 0:
-        return _usage_error(f"--scale must be positive, got {args.scale}")
-    if args.jobs < 0:
-        return _usage_error(f"--jobs must be >= 0, got {args.jobs}")
-
+    spec = _spec_from_args(args)
     if args.golden:
         failures = 0
         for name in sorted(GOLDEN_SCENARIOS):
@@ -1143,59 +1075,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 print(f"golden {name}: ok")
         return 1 if failures else 0
 
-    library = None
-    if args.set_number is not None:
-        full = build_table1_library(duration_scale=args.scale)
-        try:
-            clip_set = full.get_set(args.set_number)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        library = ClipLibrary()
-        library.add_set(clip_set)
-
-    scenario = None
-    if args.fault_scenario is not None:
-        try:
-            scenario = build_scenario(args.fault_scenario, args.seed)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    cc = None
-    if args.cc_kind is not None:
-        try:
-            cc = CcConfig(kind=args.cc_kind)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    abr = AbrConfig() if args.abr else None
-    repair = None
-    if args.repair:
-        from repro.repair import RepairConfig
-
-        repair = RepairConfig()
-    fast_path = None
-    if args.fast_path is not None:
-        if args.abr:
-            return _usage_error(
-                "error: --fast-path and --abr are mutually exclusive")
-        if args.repair:
-            return _usage_error(
-                "error: --fast-path requires no repair stack "
-                "(drop --repair)")
-        from repro.netsim.flowlevel import FlowLevelConfig
-
-        fast_path = FlowLevelConfig(strict=(args.fast_path == "strict"))
-
     if args.differential:
-        report = run_differential(seed=args.seed,
-                                  duration_scale=args.scale,
-                                  jobs=args.jobs, library=library,
-                                  scenario=scenario, cc=cc, abr=abr,
-                                  repair=repair)
+        report = run_differential(spec=spec, jobs=args.jobs)
         print(f"# differential oracle (seed {args.seed}, "
-              f"scale {args.scale})\n")
+              f"scale {args.scale}"
+              + (f", fast-path {args.fast_path}" if args.fast_path else "")
+              + ")\n")
         print(report.summary())
         return 0 if report.ok else 1
 
@@ -1204,22 +1089,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # summary so the stream-equivalence invariant has both sides to
     # compare: the per-run fold and the buffered events it must match.
     from repro.telemetry import MemorySink, Telemetry
-    from repro.telemetry.streaming import StreamingSummary
 
     telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
-    stream = StreamingSummary()
-    # build_table1_library already applied the scale when --set was
-    # given; run_study applies it itself for the full sweep.
-    study = run_study(library=library, seed=args.seed,
-                      duration_scale=args.scale, jobs=1,
-                      scenario=scenario, validate=validator,
-                      cc=cc, abr=abr, repair=repair, telemetry=telemetry,
-                      stream=stream, fast_path=fast_path)
-    transport_note = ((f", cc {args.cc_kind}" if cc is not None else "")
-                      + (", abr" if abr is not None else "")
-                      + (", repair" if repair is not None else "")
+    study = run_spec(replace(spec, stream=True), telemetry=telemetry,
+                     validate=validator)
+    transport_note = ((f", cc {args.cc_kind}" if args.cc_kind else "")
+                      + (", abr" if args.abr else "")
+                      + (", repair" if args.repair else "")
                       + (f", fast-path {args.fast_path}"
-                         if fast_path is not None else ""))
+                         if args.fast_path else ""))
     print(f"# invariant check: {len(study)} pair runs "
           f"(seed {args.seed}, scale {args.scale}"
           + (f", faults {args.fault_scenario}"
@@ -1356,7 +1234,10 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution

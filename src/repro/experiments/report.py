@@ -14,6 +14,7 @@ from typing import Optional, TextIO
 from repro.experiments.cache import get_study
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import StudyResults
+from repro.experiments.spec import RunSpec
 
 
 def build_report(study: StudyResults, plots: bool = False) -> str:
@@ -29,7 +30,7 @@ def main(argv: Optional[list] = None, out: TextIO = sys.stdout) -> None:
     argv = list(sys.argv[1:] if argv is None else argv)
     plots = "--plots" in argv
     started = time.time()
-    study = get_study(seed=2002, duration_scale=1.0)
+    study = get_study(RunSpec(seed=2002, duration_scale=1.0))
     out.write(f"# study sweep: {len(study)} pair runs "
               f"({time.time() - started:.0f}s)\n\n")
     out.write(build_report(study, plots=plots))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.capture.sniffer import Sniffer
@@ -23,7 +23,6 @@ from repro.core.fitting import fit_profile
 from repro.core.turbulence import TurbulenceProfile
 from repro.errors import ExperimentError
 from repro.experiments.conditions import NetworkConditions, sample_conditions
-from repro.experiments.datasets import build_table1_library
 from repro.faults.controller import FaultController
 from repro.faults.scenario import FaultScenario
 from repro.media.clip import Clip
@@ -40,6 +39,7 @@ from repro.experiments.progress import (
     Heartbeat,
     ProgressCallback,
 )
+from repro.experiments.spec import RunSpec, check_compatible, repair_armed
 from repro.players.base import PlayerRobustness
 from repro.players.mediatracker import MediaTracker
 from repro.players.realtracker import RealTracker
@@ -224,15 +224,12 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
         abr: optional :class:`~repro.cc.AbrConfig`.  Replaces both
             2002 server/player pairs with the segment-ladder ABR
             transport (same stats schema, same REAL/WMP labels).
-            Mutually exclusive with ``cc``.
         repair: optional :class:`~repro.repair.RepairConfig`.  A
             non-null config arms the loss-repair stack on both 2002
             server/player pairs: servers emit XOR parity and answer
             NACKs, players decode and request retransmissions.
             ``None`` — or the null config — arms nothing, keeping the
-            run byte-identical to the unrepaired code path.  The ABR
-            transport has its own segment retry loop and never arms
-            repair.
+            run byte-identical to the unrepaired code path.
         fast_path: optional
             :class:`~repro.netsim.flowlevel.FlowLevelConfig`.  Delivers
             analytically-tractable packet trains in closed form instead
@@ -241,11 +238,10 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
             loss, faults, cross traffic, or an active congestion
             controller make the model invalid.  ``None`` (the default)
             keeps the run byte-identical to a pre-fast-path build.
-            Mutually exclusive with ``abr`` and an armed ``repair``
-            (their control loops key on per-packet timing that the
-            analytic model does not reproduce).
 
     Raises:
+        ExperimentError: for a feature pair the compatibility table
+            refuses (see :mod:`repro.experiments.spec`).
         ExperimentError: if a stream never finishes within the safety
             horizon (indicates a modeling bug, not a network condition).
             Under a fault scenario, congestion control, or ABR an
@@ -254,21 +250,10 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
         ValidationError: if ``validate`` finds violations and is
             configured to raise.
     """
-    if cc is not None and abr is not None:
-        raise ExperimentError(
-            "cc and abr are mutually exclusive transports; pick one")
+    check_compatible(cc=cc, abr=abr, repair=repair, fast_path=fast_path,
+                     telemetry=telemetry)
     cc_armed = cc is not None and not cc.is_null
-    repair_armed = (repair is not None and not repair.is_null
-                    and abr is None)
-    if fast_path is not None and abr is not None:
-        raise ExperimentError(
-            "fast_path and abr are mutually exclusive: the ABR request "
-            "loop keys on per-segment timing the analytic model does "
-            "not reproduce")
-    if fast_path is not None and repair_armed:
-        raise ExperimentError(
-            "fast_path requires a null repair config: loss repair only "
-            "matters on lossy paths, which the fast path refuses anyway")
+    repair_on = repair_armed(repair)
     sim = Simulator(seed=seed, telemetry=telemetry, validate=validate,
                     fast_path=fast_path)
     if conditions is None:
@@ -300,7 +285,7 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
         scaling = MediaScalingPolicy if scenario is not None else None
         cc_factory = cc.build if cc_armed else None
         repair_factory = None
-        if repair_armed:
+        if repair_on:
             from repro.repair.sender import SenderRepair
 
             repair_factory = lambda: SenderRepair(repair)  # noqa: E731
@@ -342,7 +327,7 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
                                 feedback_interval=feedback or 1.0,
                                 robustness=abr_robustness)
     else:
-        player_repair = repair if repair_armed else None
+        player_repair = repair if repair_on else None
         real_player = RealTracker(topology.client, real_host.address,
                                   preroll_seconds=preroll_seconds,
                                   feedback_interval=feedback,
@@ -444,11 +429,34 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
               progress: Optional[ProgressCallback] = None) -> StudyResults:
     """Run the full Table 1 sweep (the corpus behind every figure).
 
+    The study parameters (``library`` through ``fast_path``, plus
+    whether ``stream`` is given) are the fields of
+    :class:`~repro.experiments.spec.RunSpec`; the rest say how to
+    execute it (see :func:`run_spec`).
+    """
+    spec = RunSpec(library=library, seed=seed,
+                   duration_scale=duration_scale,
+                   loss_probability=loss_probability, scenario=scenario,
+                   cc=cc, abr=abr, repair=repair, fast_path=fast_path,
+                   stream=stream is not None)
+    return run_spec(spec, telemetry=telemetry, jobs=jobs, validate=validate,
+                    min_parallel_runs=min_parallel_runs, stream=stream,
+                    progress=progress)
+
+
+def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
+             jobs: int = 1,
+             validate: Optional["RunValidator"] = None,
+             min_parallel_runs: int = PARALLEL_MIN_RUNS,
+             stream: Optional[StreamingSummary] = None,
+             progress: Optional[ProgressCallback] = None) -> StudyResults:
+    """Run the sweep ``spec`` declares.
+
     Args:
-        library: clip library; defaults to Table 1.
-        seed: master seed; run ``i`` uses ``seed + i``.
-        duration_scale: shorten clips (tests) or keep them full (1.0).
-        loss_probability: middle-link loss for congestion studies.
+        spec: the study (library, seed, conditions, opt-in features).
+            Every config in it is pure data, so pool workers rebuild
+            fault controllers, transports, repair stacks, and fast-path
+            directors from it independently.
         telemetry: optional shared facade.  One registry and one event
             bus serve every pair run; a ``run=<label>`` context label
             keeps the runs' instruments apart, and the facade comes
@@ -460,34 +468,17 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
             execution — runs merge back in library order, and worker
             telemetry folds into the shared facade post-hoc (the
             facade's profiler, being wall-clock, stays parent-only).
-        scenario: optional fault schedule applied to *every* pair run
-            of the sweep (the scenario is pure data, so workers rebuild
-            their fault controllers from it independently).
         validate: optional :class:`~repro.validate.checker.RunValidator`
             shared by every pair run of the sweep; each run gets an
-            invariant sweep at its end.  Sequential execution only —
-            the validator holds live object references and cannot
-            cross a process boundary.
-        cc: optional :class:`~repro.cc.CcConfig` applied to every pair
-            run (see :func:`run_pair_experiment`).
-        abr: optional :class:`~repro.cc.AbrConfig`: run the sweep over
-            the ABR transport instead of the 2002 servers.
-        repair: optional :class:`~repro.repair.RepairConfig` applied to
-            every pair run (see :func:`run_pair_experiment`); pure
-            data, so pool workers arm their repair stacks from it
-            independently.
-        fast_path: optional
-            :class:`~repro.netsim.flowlevel.FlowLevelConfig` applied to
-            every pair run (see :func:`run_pair_experiment`); a frozen
-            dataclass of pure data, so pool workers build their own
-            directors from it independently.
+            invariant sweep at its end.  Sequential execution only.
         min_parallel_runs: sweeps smaller than this auto-downgrade a
             ``jobs > 1`` request to sequential execution (fork overhead
             beats the win on small sweeps); the decision lands on
             ``StudyResults.execution``.  Pass 0 to force the pool.
-        stream: optional :class:`~repro.telemetry.streaming.StreamingSummary`
-            to fold the sweep into online.  Each pair run folds into a
-            fresh ``stream.spawn()`` via a per-run bus sink (no event
+        stream: the :class:`~repro.telemetry.streaming.StreamingSummary`
+            to fold the sweep into online (a fresh one when omitted and
+            ``spec.stream`` is set).  Each pair run folds into a fresh
+            ``stream.spawn()`` via a per-run bus sink (no event
             buffering), and the per-run summaries merge into ``stream``
             in library order — byte-identical across sequential,
             parallel, and cached execution.  Works with or without a
@@ -499,27 +490,23 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
             the sequential loop or relayed from pool workers.
 
     Raises:
-        ExperimentError: for ``validate`` combined with ``jobs > 1``.
+        ExperimentError: before any pair run, for a feature pair the
+            compatibility table refuses (including ``validate`` with
+            ``jobs > 1``).
     """
-    if library is None:
-        library = build_table1_library(duration_scale=duration_scale)
     jobs = resolve_jobs(jobs)
+    spec.check(validate=validate, jobs=jobs, telemetry=telemetry)
+    library = spec.clip_library()
+    if stream is None and spec.stream:
+        stream = StreamingSummary()
     pairs = library.all_pairs()
-    if validate is not None and jobs > 1:
-        raise ExperimentError(
-            "validation requires sequential execution (jobs=1): the "
-            "validator inspects live simulation objects and cannot "
-            "cross a worker-process boundary")
     execution = "sequential"
     if jobs > 1 and len(pairs) > 1:
         if len(pairs) >= min_parallel_runs:
             from repro.experiments.parallel import run_study_parallel
 
-            results = run_study_parallel(library, seed=seed,
-                                         loss_probability=loss_probability,
+            results = run_study_parallel(replace(spec, library=library),
                                          telemetry=telemetry, jobs=jobs,
-                                         scenario=scenario, cc=cc, abr=abr,
-                                         repair=repair, fast_path=fast_path,
                                          stream=stream, progress=progress)
             results.execution = f"parallel jobs={jobs}"
             return results
@@ -534,8 +521,8 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
         facade = Telemetry(sinks=[])
     total = len(pairs)
     for index, (clip_set, pair) in enumerate(pairs):
-        conditions = study_conditions(seed, index,
-                                      loss_probability=loss_probability)
+        conditions = study_conditions(spec.seed, index,
+                                      loss_probability=spec.loss_probability)
         label = f"set{clip_set.number}-{pair.band.short}"
         if telemetry is not None:
             telemetry.set_context(run=label)
@@ -553,9 +540,10 @@ def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
             facade.bus.attach(sink)
         try:
             results.runs.append(run_pair_experiment(
-                clip_set, pair, seed=seed + index, conditions=conditions,
-                telemetry=facade, scenario=scenario, validate=validate,
-                cc=cc, abr=abr, repair=repair, fast_path=fast_path))
+                clip_set, pair, seed=spec.seed + index, conditions=conditions,
+                telemetry=facade, scenario=spec.scenario, validate=validate,
+                cc=spec.cc, abr=spec.abr, repair=spec.repair,
+                fast_path=spec.fast_path))
         finally:
             if sink is not None:
                 facade.bus.detach(sink)

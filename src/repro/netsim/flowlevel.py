@@ -68,6 +68,11 @@ REASON_CONTENTION = "contention"
 REASON_INTERLEAVE = "interleave"
 REASON_BLACKOUT = "blackout"
 
+#: Why the director refuses span tracing; the study-level compatibility
+#: table (:mod:`repro.experiments.spec`) cites the same string.
+SPANS_REFUSAL = ("the flow-level fast path emits no per-hop span events; "
+                 "run with span tracing off or fast_path=None")
+
 
 @dataclass(frozen=True)
 class FlowLevelConfig:
@@ -191,9 +196,7 @@ class FlowLevelDirector:
     def __init__(self, sim: "Simulator", config: FlowLevelConfig) -> None:
         if (sim.telemetry is not None
                 and getattr(sim.telemetry, "spans", None) is not None):
-            raise SimulationError(
-                "the flow-level fast path emits no per-hop span events; "
-                "run with span tracing off or fast_path=None")
+            raise SimulationError(SPANS_REFUSAL)
         self.sim = sim
         self.config = config
         self.enabled = True

@@ -21,29 +21,24 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.capture import serialize
-from repro.cc.abr import AbrConfig
-from repro.cc.base import CcConfig
 from repro.experiments.cache import (
     CACHE_DIR_ENV,
     CACHE_ENV,
     _disk_load,
     _disk_store,
-    study_key,
 )
-from repro.experiments.runner import StudyResults, run_study
-from repro.faults.scenario import FaultScenario
-from repro.media.library import ClipLibrary
+from repro.experiments.runner import StudyResults, run_spec
+from repro.experiments.spec import RunSpec
 from repro.players import logging as tracker_logging
-from repro.repair.base import RepairConfig
 from repro.telemetry.core import Telemetry
 from repro.telemetry.exporters import to_json
 from repro.telemetry.sinks import MemorySink, encode_event
 from repro.telemetry.spans import SpanRecorder
-from repro.telemetry.streaming import StreamingSummary, fold_events
+from repro.telemetry.streaming import fold_events
 from repro.telemetry.trace_export import spans_jsonl
 
 
@@ -51,10 +46,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fresh_telemetry() -> Telemetry:
-    """A facade capturing everything a study emits, unbounded."""
-    return Telemetry(sinks=[MemorySink(capacity=None)],
-                     spans=SpanRecorder())
+def _fresh_telemetry(spec: Optional[RunSpec] = None) -> Telemetry:
+    """A facade capturing everything ``spec``'s study emits, unbounded.
+
+    Span tracing is left off under the fast path, which refuses it (the
+    director skips the per-hop events spans are built from).
+    """
+    fast = spec is not None and spec.fast_path is not None
+    spans = None if fast else SpanRecorder()
+    return Telemetry(sinks=[MemorySink(capacity=None)], spans=spans)
 
 
 def study_surface(study: StudyResults,
@@ -145,15 +145,11 @@ def _compare(report: DifferentialReport, name: str,
                 f"{name}: unexpected extra surface {key}")
 
 
-def run_differential(seed: int = 2002, duration_scale: float = 1.0,
-                     loss_probability: float = 0.0, jobs: int = 2,
-                     library: Optional[ClipLibrary] = None,
-                     scenario: Optional[FaultScenario] = None,
-                     cc: Optional[CcConfig] = None,
-                     abr: Optional[AbrConfig] = None,
-                     repair: Optional[RepairConfig] = None,
-                     ) -> DifferentialReport:
-    """Run one seeded study three ways and diff every surface.
+def run_differential(spec: RunSpec, jobs: int = 2) -> DifferentialReport:
+    """Run ``spec``'s study three ways and diff every surface.
+
+    Every leg folds an online streaming summary (``spec.stream`` is
+    forced on) so the ``streaming.summary`` surface is always compared.
 
     Legs:
 
@@ -169,14 +165,10 @@ def run_differential(seed: int = 2002, duration_scale: float = 1.0,
         digest mismatch.
     """
     report = DifferentialReport()
+    spec = replace(spec, stream=True)
 
-    telemetry_seq = _fresh_telemetry()
-    study_seq = run_study(library=library, seed=seed,
-                          duration_scale=duration_scale,
-                          loss_probability=loss_probability,
-                          telemetry=telemetry_seq, jobs=1,
-                          scenario=scenario, cc=cc, abr=abr,
-                          repair=repair, stream=StreamingSummary())
+    telemetry_seq = _fresh_telemetry(spec)
+    study_seq = run_spec(spec, telemetry=telemetry_seq, jobs=1)
     reference = study_surface(study_seq, telemetry_seq)
     report.legs["sequential"] = reference
 
@@ -195,14 +187,9 @@ def run_differential(seed: int = 2002, duration_scale: float = 1.0,
                 f"{study_seq.streaming.fingerprint()}) != refold of the "
                 f"buffered stream ({refold.fingerprint()})")
 
-    telemetry_par = _fresh_telemetry()
-    study_par = run_study(library=library, seed=seed,
-                          duration_scale=duration_scale,
-                          loss_probability=loss_probability,
-                          telemetry=telemetry_par, jobs=max(2, jobs),
-                          scenario=scenario, cc=cc, abr=abr,
-                          repair=repair, min_parallel_runs=0,
-                          stream=StreamingSummary())
+    telemetry_par = _fresh_telemetry(spec)
+    study_par = run_spec(spec, telemetry=telemetry_par, jobs=max(2, jobs),
+                         min_parallel_runs=0)
     parallel = study_surface(study_par, telemetry_par)
     report.legs["parallel"] = parallel
     _compare(report, "parallel", reference, parallel, require_all=True)
@@ -210,15 +197,14 @@ def run_differential(seed: int = 2002, duration_scale: float = 1.0,
     # Cache leg: push the sequential sweep through the disk layer's
     # pickle round-trip in an isolated directory so the user's real
     # cache is neither consulted nor polluted.
-    key = study_key(seed, duration_scale, loss_probability, library,
-                    scenario, cc, abr, repair=repair, stream=True)
+    key = spec.fingerprint()
     saved = {name: os.environ.get(name)
              for name in (CACHE_ENV, CACHE_DIR_ENV)}
     with tempfile.TemporaryDirectory(prefix="repro-validate-") as tmp:
         os.environ[CACHE_DIR_ENV] = tmp
         os.environ.pop(CACHE_ENV, None)
         try:
-            _disk_store(key, study_seq)
+            _disk_store(spec, key, study_seq)
             study_cached = _disk_load(key)
         finally:
             for name, value in saved.items():

@@ -27,13 +27,12 @@ from repro._version import __version__
 from repro.cc.abr import AbrConfig
 from repro.cc.base import CcConfig
 from repro.experiments.datasets import build_table1_library
-from repro.experiments.runner import run_study
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import RunSpec
 from repro.faults.scenario import build_scenario
 from repro.media.library import ClipLibrary
 from repro.netsim.flowlevel import FlowLevelConfig
 from repro.repair.base import RepairConfig
-from repro.telemetry import MemorySink, Telemetry
-from repro.telemetry.streaming import StreamingSummary
 from repro.validate.differential import _fresh_telemetry, study_surface
 
 #: Schema marker inside every golden file; bump on format changes so a
@@ -122,11 +121,21 @@ def golden_path(name: str, directory: Optional[Path] = None) -> Path:
     return directory / f"{name}.json"
 
 
-def _scenario_library(scenario: GoldenScenario) -> ClipLibrary:
+def _golden_spec(scenario: GoldenScenario) -> RunSpec:
+    """The streamed one-set study a golden scenario pins."""
     full = build_table1_library(duration_scale=scenario.duration_scale)
     library = ClipLibrary()
     library.add_set(full.get_set(scenario.set_number))
-    return library
+    return RunSpec(
+        library=library, seed=scenario.seed,
+        duration_scale=scenario.duration_scale,
+        scenario=(build_scenario(scenario.fault, scenario.seed)
+                  if scenario.fault is not None else None),
+        cc=CcConfig(kind=scenario.cc) if scenario.cc is not None else None,
+        abr=AbrConfig() if scenario.abr else None,
+        repair=RepairConfig() if scenario.repair else None,
+        fast_path=FlowLevelConfig(strict=True) if scenario.fast_path else None,
+        stream=True)
 
 
 def compute_golden(scenario: GoldenScenario) -> Dict[str, object]:
@@ -134,25 +143,12 @@ def compute_golden(scenario: GoldenScenario) -> Dict[str, object]:
 
     The document carries the parameters alongside the digests so a
     drifted definition (changed seed, different set) is distinguishable
-    from a behavioral regression.
+    from a behavioral regression.  Fast-path scenarios pin a span-free
+    telemetry surface (see :func:`_fresh_telemetry`).
     """
-    fault = (build_scenario(scenario.fault, scenario.seed)
-             if scenario.fault is not None else None)
-    cc = CcConfig(kind=scenario.cc) if scenario.cc is not None else None
-    abr = AbrConfig() if scenario.abr else None
-    repair = RepairConfig() if scenario.repair else None
-    fast_path = FlowLevelConfig(strict=True) if scenario.fast_path else None
-    if scenario.fast_path:
-        # The director refuses span tracing (it skips the per-hop
-        # events spans are built from), so this surface is span-free.
-        telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
-    else:
-        telemetry = _fresh_telemetry()
-    study = run_study(library=_scenario_library(scenario),
-                      seed=scenario.seed, telemetry=telemetry,
-                      jobs=1, scenario=fault, cc=cc, abr=abr,
-                      repair=repair, fast_path=fast_path,
-                      stream=StreamingSummary())
+    spec = _golden_spec(scenario)
+    telemetry = _fresh_telemetry(spec)
+    study = run_spec(spec, telemetry=telemetry, jobs=1)
     return {
         "schema": GOLDEN_SCHEMA,
         "scenario": scenario.name,

@@ -153,7 +153,7 @@ class TestTelemetryCommand:
 
         # A study that never touches the telemetry facade records no
         # counters and no events; the CLI must refuse to summarize it.
-        monkeypatch.setattr(runner, "run_study", lambda **kwargs: [])
+        monkeypatch.setattr(runner, "run_spec", lambda spec, **kwargs: [])
         assert main(["telemetry", "--seed", "5", "--scale", "0.01"]) == 1
         assert "no telemetry" in capsys.readouterr().err
 
@@ -206,7 +206,7 @@ class TestSpansCommand:
     def test_run_without_traces_exits_nonzero(self, monkeypatch, capsys):
         import repro.experiments.runner as runner
 
-        monkeypatch.setattr(runner, "run_study", lambda **kwargs: [])
+        monkeypatch.setattr(runner, "run_spec", lambda spec, **kwargs: [])
         assert main(["spans", "--seed", "5", "--scale", "0.01"]) == 1
         assert "no completed ADU traces" in capsys.readouterr().err
 

@@ -227,20 +227,22 @@ class TestStudyCache:
 
     def test_custom_library_does_not_alias_cached_study(self):
         from repro.experiments.cache import clear_cache, get_study
+        from repro.experiments.spec import RunSpec
+
+        def spec(set_number):
+            return RunSpec(seed=77, duration_scale=0.04,
+                           library=self.one_set_library(set_number))
 
         clear_cache()
         try:
-            first = get_study(seed=77, duration_scale=0.04,
-                              library=self.one_set_library(1))
-            second = get_study(seed=77, duration_scale=0.04,
-                               library=self.one_set_library(2))
+            first = get_study(spec(1))
+            second = get_study(spec(2))
             # Same scalars, different libraries: distinct studies.
             assert first is not second
             assert ({run.set_number for run in first}
                     != {run.set_number for run in second})
             # Same library content memoizes.
-            again = get_study(seed=77, duration_scale=0.04,
-                              library=self.one_set_library(1))
+            again = get_study(spec(1))
             assert again is first
         finally:
             clear_cache()

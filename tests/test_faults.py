@@ -270,21 +270,6 @@ class TestEosLossFallback:
                     if e.type == EOS_TIMEOUT]) == 1
 
 
-class TestScenarioCaching:
-    def test_cache_key_incorporates_scenario(self):
-        from repro.experiments.cache import study_key
-
-        flap = build_scenario("link-flap", SEED)
-        degrade = build_scenario("degrade", SEED)
-        keys = {study_key(SEED, 1.0, 0.0, None, None),
-                study_key(SEED, 1.0, 0.0, None, flap),
-                study_key(SEED, 1.0, 0.0, None, degrade)}
-        assert len(keys) == 3
-        assert (study_key(SEED, 1.0, 0.0, None, flap)
-                == study_key(SEED, 1.0, 0.0, None,
-                             build_scenario("link-flap", SEED)))
-
-
 class TestFaultsCli:
     def test_list_prints_scenarios(self, capsys):
         from repro.cli import main

@@ -21,7 +21,6 @@ from repro.experiments.cache import (
     clear_disk_cache,
     disk_cache_entries,
     load_or_run_study,
-    study_key,
 )
 from repro.experiments.conditions import sample_conditions
 from repro.experiments.datasets import build_table1_library
@@ -30,6 +29,7 @@ from repro.experiments.runner import (
     run_study,
     study_conditions,
 )
+from repro.experiments.spec import RunSpec
 from repro.media.library import ClipLibrary
 from repro.netsim.engine import Simulator
 from repro.telemetry import (
@@ -186,13 +186,13 @@ def disk_cache(tmp_path, monkeypatch):
 class TestDiskCache:
     def test_run_then_disk_hit_then_clear(self, disk_cache):
         library = one_set_library(1)
-        params = dict(seed=9, duration_scale=0.03, library=library)
-        first, source = load_or_run_study(**params)
+        spec = RunSpec(seed=9, duration_scale=0.03, library=library)
+        first, source = load_or_run_study(spec)
         assert source == "run"
         assert len(disk_cache_entries()) == 1
         # A fresh process has an empty memory layer; simulate one.
         clear_cache()
-        second, source = load_or_run_study(**params)
+        second, source = load_or_run_study(spec)
         assert source == "disk"
         assert len(second) == len(first)
         for mine, theirs in zip(second, first):
@@ -200,69 +200,33 @@ class TestDiskCache:
         # Clearing the disk layer restores the miss path.
         assert clear_disk_cache() == 1
         clear_cache()
-        _, source = load_or_run_study(**params)
+        _, source = load_or_run_study(spec)
         assert source == "run"
 
     def test_memory_layer_still_first(self, disk_cache):
         library = one_set_library(1)
-        params = dict(seed=9, duration_scale=0.03, library=library)
-        first, _ = load_or_run_study(**params)
-        again, source = load_or_run_study(**params)
+        spec = RunSpec(seed=9, duration_scale=0.03, library=library)
+        first, _ = load_or_run_study(spec)
+        again, source = load_or_run_study(spec)
         assert source == "memory"
         assert again is first
 
     def test_escape_hatch_disables_disk(self, disk_cache, monkeypatch):
         monkeypatch.setenv(study_cache.CACHE_ENV, "0")
-        params = dict(seed=9, duration_scale=0.03,
-                      library=one_set_library(1))
-        load_or_run_study(**params)
+        spec = RunSpec(seed=9, duration_scale=0.03,
+                       library=one_set_library(1))
+        load_or_run_study(spec)
         assert disk_cache_entries() == []
         clear_cache()
-        _, source = load_or_run_study(**params)
+        _, source = load_or_run_study(spec)
         assert source == "run"
 
     def test_code_fingerprint_invalidates(self, disk_cache, monkeypatch):
-        params = dict(seed=9, duration_scale=0.03,
-                      library=one_set_library(1))
-        load_or_run_study(**params)
+        spec = RunSpec(seed=9, duration_scale=0.03,
+                       library=one_set_library(1))
+        load_or_run_study(spec)
         clear_cache()
         # A code change means a different digest, hence a miss.
         monkeypatch.setattr(study_cache, "_code_fingerprint", "0" * 16)
-        _, source = load_or_run_study(**params)
+        _, source = load_or_run_study(spec)
         assert source == "run"
-
-
-class TestStudyKeying:
-    """Satellite: one keying helper serves both cache layers."""
-
-    def test_key_is_shared_and_stable(self):
-        library = one_set_library(1)
-        assert study_key(9, 0.03, 0.0, library) == \
-            study_key(9, 0.03, 0.0, one_set_library(1))
-        assert study_key(9, 0.03, 0.0, None) == \
-            study_key(9, 0.03, 0.0, None)
-
-    def test_libraries_with_equal_scalars_never_alias(self):
-        # Same (seed, scale, loss), different content: distinct keys.
-        assert study_key(9, 0.03, 0.0, one_set_library(1)) != \
-            study_key(9, 0.03, 0.0, one_set_library(2))
-
-    def test_disk_layer_keeps_libraries_apart(self, disk_cache):
-        scalars = dict(seed=9, duration_scale=0.03)
-        first, _ = load_or_run_study(library=one_set_library(1), **scalars)
-        second, _ = load_or_run_study(library=one_set_library(2), **scalars)
-        assert len(disk_cache_entries()) == 2
-        clear_cache()
-        # Each key reloads its own sweep from disk, never the other's.
-        reloaded_one, source = load_or_run_study(
-            library=one_set_library(1), **scalars)
-        assert source == "disk"
-        reloaded_two, source = load_or_run_study(
-            library=one_set_library(2), **scalars)
-        assert source == "disk"
-        assert ({run.set_number for run in reloaded_one}
-                == {run.set_number for run in first})
-        assert ({run.set_number for run in reloaded_two}
-                == {run.set_number for run in second})
-        assert ({run.set_number for run in reloaded_one}
-                != {run.set_number for run in reloaded_two})

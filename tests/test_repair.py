@@ -23,6 +23,7 @@ import pytest
 from repro.errors import MediaError, ReproError
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import run_study
+from repro.experiments.spec import RunSpec
 from repro.faults import build_scenario, recovery_report
 from repro.media.codec import SyntheticCodec
 from repro.media.gop import annotate_gops, decode_deadline, frame_value_map
@@ -533,10 +534,10 @@ class TestRepairOptIn:
 class TestRepairDeterminism:
     def test_all_execution_paths_agree_under_repair(self):
         report = run_differential(
-            seed=SEED, duration_scale=0.12, jobs=2,
-            library=one_set_library(3, 0.12),
-            scenario=build_scenario("burst-loss", SEED),
-            repair=RepairConfig())
+            RunSpec(seed=SEED, duration_scale=0.12,
+                    library=one_set_library(3, 0.12),
+                    scenario=build_scenario("burst-loss", SEED),
+                    repair=RepairConfig()), jobs=2)
         assert report.ok, report.summary()
 
     def test_qoe_bit_identical_sequential_vs_parallel(self):

@@ -5,10 +5,12 @@ import pytest
 from repro.cli import main
 from repro.errors import ExperimentError, ValidationError
 from repro.experiments.datasets import build_table1_library
-from repro.experiments.runner import run_study
+from repro.experiments.runner import run_spec, run_study
+from repro.experiments.spec import RunSpec
 from repro.media.library import ClipLibrary
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
+from repro.netsim.flowlevel import FlowLevelConfig
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.queues import DropTailQueue
@@ -18,6 +20,7 @@ from repro.validate import (
     DifferentialReport,
     RunValidator,
     Violation,
+    run_differential,
     study_surface,
 )
 from repro.validate.differential import _fresh_telemetry
@@ -191,6 +194,27 @@ class TestDifferentialReport:
         assert not report.ok
         assert "1 divergence" in report.summary()
         assert "! parallel" in report.summary()
+
+
+class TestDifferentialFastPath:
+    def test_every_leg_runs_on_the_fast_path(self, monkeypatch):
+        import repro.validate.differential as differential
+
+        studies = []
+
+        def recording_run_spec(spec, **kwargs):
+            studies.append(run_spec(spec, **kwargs))
+            return studies[-1]
+
+        monkeypatch.setattr(differential, "run_spec", recording_run_spec)
+        report = run_differential(
+            RunSpec(seed=SEED, duration_scale=SCALE,
+                    library=one_set_library(),
+                    fast_path=FlowLevelConfig()), jobs=2)
+        assert report.ok, report.summary()
+        assert len(studies) == 2  # the sequential and parallel legs
+        for study in studies:
+            assert all(run.fastpath is not None for run in study)
 
 
 class TestValidateCli:
