@@ -152,6 +152,37 @@ class Simulator:
         self._pending += 1
         return event
 
+    def reserve_sequence(self) -> int:
+        """Take the sequence number an event scheduled now would get.
+
+        Passing it to :meth:`schedule_reserved` later runs that event,
+        among events at its time, where it would have run had it been
+        scheduled now.  A link uses this to decide only once a packet
+        waits whether its transmitter needs a completion event at all.
+        """
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        return sequence
+
+    def schedule_reserved(self, time: float, sequence: int,
+                          callback: Callable[..., None],
+                          *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at ``time`` under a sequence
+        number from :meth:`reserve_sequence` (use each one once).
+
+        Raises:
+            SimulationError: if ``time`` is in the past or NaN.
+        """
+        # The body of schedule_at, which does not call this: it is the
+        # hottest call in a sweep, and one more frame would show.
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
+        event = Event(time, callback, args, self)
+        _heappush(self._heap, (time, sequence, event))
+        self._pending += 1
+        return event
+
     def schedule_in(self, delay: float, callback: Callable[..., None],
                     *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds.

@@ -112,6 +112,10 @@ class FastPathSummary:
     packets_fast: int = 0
     trains_fallback: int = 0
     packets_fallback: int = 0
+    #: Packet-level events the accepted trains did not cost: two per
+    #: packet per direction, since a simulator with a director keeps
+    #: every link on the two-event transmitter, less one delivery
+    #: event per packet.
     events_saved: int = 0
     #: Times a real (fallback) packet was held behind a committed
     #: train reservation; zero means every accepted train was provably

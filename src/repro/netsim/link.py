@@ -5,6 +5,12 @@ serializes one packet at a time at the link bandwidth, then delivers it
 after the propagation delay (plus optional per-packet jitter).  This is
 what turns a burst of IP fragments handed down in the same instant into
 the closely-spaced wire "groups" of the paper's Figure 4.
+
+A direction without jitter knows each packet's arrival the moment its
+serialization starts.  It schedules the delivery right then, and a
+transmitter-completion event only when another packet waits behind the
+one on the wire: one event per packet on an idle link instead of two
+(see :class:`_Direction`).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from repro.telemetry.events import (
 from repro.telemetry.spans import STATUS_LOST
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netsim.engine import Simulator
+    from repro.netsim.engine import Event, Simulator
     from repro.netsim.node import Node
 
 
@@ -121,20 +127,50 @@ class DirectionStats:
     bytes_delivered: int = 0
 
 
+def _no_jitter() -> float:
+    """The jitter draw of a direction built without jitter."""
+    return 0.0
+
+
 class _Direction:
-    """One direction of a link: queue + busy transmitter + delivery."""
+    """One direction of a link: queue + busy transmitter + delivery.
+
+    The transmitter runs one of two event disciplines, fixed at
+    construction:
+
+    * **One event per packet** when the direction has no jitter
+      callable, the simulator has no flow-level director, and no span
+      recorder is attached.  Serialization start fixes the arrival
+      (``finish + propagation``, clamped FIFO), so :meth:`_transmit_next`
+      schedules :meth:`_deliver` at once, plus a completion event at
+      ``_busy_until`` only when a packet waits behind the one on the
+      wire.  ``_busy`` then means "a completion event is pending"; the
+      wire itself is busy while ``now < _busy_until``.
+    * **Two events per packet** otherwise: :meth:`_finish_transmit`
+      when serialization ends, then :meth:`_deliver`.  Only this path
+      keeps exact the draw order of a jitter stream that two
+      directions share, the order of span ids, and the director's
+      reads of ``_busy``/``_busy_until``.  The tests use it as the
+      one-event path's reference.
+
+    Both paths compute every time with the same float operations, so
+    their deliveries, stats and queue counters are identical.
+    """
 
     def __init__(self, sim: "Simulator", sink: "Node",
                  bandwidth_bps: float, propagation_delay: float,
                  queue: DropTailQueue, loss: LossModel,
-                 jitter: Callable[[], float], label: str = "") -> None:
+                 jitter: Optional[Callable[[], float]],
+                 label: str = "") -> None:
         self._sim = sim
         self._sink = sink
         self._bandwidth_bps = bandwidth_bps
         self._propagation_delay = propagation_delay
         self._queue = queue
         self._loss = loss
-        self._jitter = jitter
+        # The director draws from every direction's jitter, so a
+        # direction without jitter still holds a callable.
+        self._jitter = jitter if jitter is not None else _no_jitter
         self._busy = False
         self._up = True
         self._last_delivery = 0.0
@@ -142,10 +178,10 @@ class _Direction:
         #: (serializing or propagating).  The validator's conservation
         #: law counts these; a plain int, maintained unconditionally.
         self._in_flight = 0
-        #: When the in-service packet leaves the serializer (its
-        #: _finish_transmit time); meaningful only while _busy.  The
-        #: flow-level fast path chains its departure recursion through
-        #: this, so a busy transmitter alone never forces a fallback.
+        #: When the packet last put on the wire leaves the serializer
+        #: (its _finish_transmit time).  The flow-level fast path chains
+        #: its departure recursion through this while _busy, so a busy
+        #: transmitter alone never forces a fallback.
         self._busy_until = 0.0
         #: Flow-level fast-path state (repro.netsim.flowlevel): virtual
         #: transmitter occupancy and last virtual entry time.  Both
@@ -162,6 +198,16 @@ class _Direction:
         self._telemetry = sim.telemetry
         self._spans = (self._telemetry.spans
                        if self._telemetry is not None else None)
+        self._one_event = (jitter is None and sim.fast_path is None
+                           and self._spans is None)
+        #: One-event path only: the sequence number reserved for the
+        #: completion of the packet on the wire, used if a packet comes
+        #: to wait behind it; that packet's pending delivery, and the
+        #: FIFO clamp from before it, which set_propagation_delay needs
+        #: to re-time it.
+        self._completion_sequence = 0
+        self._wire_delivery: Optional["Event"] = None
+        self._clamp_before_wire = 0.0
         self._label = label
         if self._telemetry is not None:
             queue.bind_telemetry(self._telemetry, link=label)
@@ -201,7 +247,17 @@ class _Direction:
                            packet_bytes=packet.ip_bytes,
                            queue_bytes=self._queue.bytes_queued)
         if not self._busy:
-            self._transmit_next()
+            if self._sim.now < self._busy_until:
+                # One-event path: the wire is busy and nothing waited
+                # until now, so no completion is due yet.  (The
+                # two-event path never gets here: _busy stays set
+                # until _finish_transmit runs at _busy_until.)
+                self._busy = True
+                self._sim.schedule_reserved(self._busy_until,
+                                            self._completion_sequence,
+                                            self._transmit_next)
+            else:
+                self._transmit_next()
 
     def _end_reservation(self) -> None:
         """Resume real transmission after a virtual train's occupancy."""
@@ -270,14 +326,60 @@ class _Direction:
         if packet is None:
             self._busy = False
             return
-        self._busy = True
+        sim = self._sim
         self._in_flight += 1
         if self._spans is not None and packet.span is not None:
-            self._spans.tx_started(packet, self._sim.now, self._label)
+            self._spans.tx_started(packet, sim.now, self._label)
         tx_delay = units.transmission_delay(packet.wire_bytes,
                                             self._bandwidth_bps)
-        self._busy_until = self._sim.now + tx_delay
-        self._sim.schedule_in(tx_delay, self._finish_transmit, packet)
+        finish = sim.now + tx_delay
+        self._busy_until = finish
+        if not self._one_event:
+            self._busy = True
+            sim.schedule_in(tx_delay, self._finish_transmit, packet)
+            return
+        # The completion takes the place _finish_transmit's event would
+        # hold among same-time events, whenever it turns out to be due.
+        completion = sim.reserve_sequence()
+        # _finish_transmit's arithmetic without the jitter term, done
+        # now instead of when serialization ends.
+        arrival = finish + self._propagation_delay
+        clamp = self._last_delivery
+        if arrival < clamp:
+            arrival = clamp
+        self._clamp_before_wire = clamp
+        self._last_delivery = arrival
+        self._wire_delivery = sim.schedule_at(arrival, self._deliver, packet)
+        if len(self._queue):
+            self._busy = True
+            sim.schedule_reserved(finish, completion, self._transmit_next)
+        else:
+            self._busy = False
+            self._completion_sequence = completion
+
+    def set_propagation_delay(self, delay: float) -> None:
+        """Change the propagation delay of packets not yet propagating.
+
+        The two-event path reads the delay when serialization ends, so
+        the packet still serializing takes the new one.  The one-event
+        path fixed that packet's arrival when serialization started, so
+        it re-times the packet here.  A change at exactly
+        ``_busy_until`` counts as made before the serializer finishes,
+        which is the two-event order for a change scheduled before the
+        traffic (as :meth:`repro.faults.FaultController.arm` does).
+        """
+        self._propagation_delay = delay
+        wire = self._wire_delivery
+        if (wire is None or wire.consumed
+                or self._sim.now > self._busy_until):
+            return
+        arrival = self._busy_until + delay
+        if arrival < self._clamp_before_wire:
+            arrival = self._clamp_before_wire
+        wire.cancel()
+        self._last_delivery = arrival
+        self._wire_delivery = self._sim.schedule_at(arrival, self._deliver,
+                                                    *wire.args)
 
     def _finish_transmit(self, packet: Packet) -> None:
         arrival = (self._sim.now + self._propagation_delay
@@ -317,7 +419,11 @@ class Link:
         loss: optional shared loss model (defaults to lossless).
         jitter: optional zero-arg callable returning extra per-packet
             delay in seconds (e.g. drawn from an RNG stream); negative
-            values are clamped to zero.
+            values are clamped to zero.  ``None`` (the default) means
+            no jitter and lets each direction schedule one event per
+            packet on an idle wire instead of two (see
+            :class:`_Direction`); a callable, even one that always
+            returns 0.0, keeps the two-event transmitter.
     """
 
     def __init__(self, sim: "Simulator", a: "Node", b: "Node",
@@ -338,7 +444,6 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
         loss = loss or LossModel(0.0)
-        jitter = jitter or (lambda: 0.0)
         if queue_factory is None:
             queue_factory = lambda: DropTailQueue(queue_capacity_bytes)  # noqa: E731
         self._forward = _Direction(sim, b, bandwidth_bps, propagation_delay,
@@ -395,12 +500,16 @@ class Link:
         self.sim.topology_epoch += 1
 
     def set_propagation_delay(self, delay: float) -> None:
-        """Change the one-way latency mid-run (path degradation)."""
+        """Change the one-way latency mid-run (path degradation).
+
+        Applies to every packet that has not finished serializing,
+        including the one on the wire.
+        """
         if delay < 0:
             raise ValueError("propagation delay must be nonnegative")
         self.propagation_delay = delay
-        self._forward._propagation_delay = delay
-        self._reverse._propagation_delay = delay
+        self._forward.set_propagation_delay(delay)
+        self._reverse.set_propagation_delay(delay)
         self.sim.topology_epoch += 1
 
     def set_loss(self, loss: LossModel) -> None:

@@ -105,9 +105,9 @@ def build_path_topology(sim: Simulator, hop_count: int = 17,
     loss_rng = sim.streams.stream("link-loss")
     jitter_rng = sim.streams.stream("link-jitter")
 
-    def make_jitter(std: float) -> Callable[[], float]:
+    def make_jitter(std: float) -> Optional[Callable[[], float]]:
         if std <= 0:
-            return lambda: 0.0
+            return None
         return lambda: jitter_rng.gauss(0.0, std)
 
     links: List[Link] = []

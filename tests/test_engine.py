@@ -63,7 +63,25 @@ class TestScheduling:
             sim.schedule_at(float("nan"), lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_in(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(float("nan"), sim.reserve_sequence(),
+                                  lambda: None)
         assert sim.pending_events == 0
+
+    def test_reserved_event_runs_where_it_was_reserved(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(1.0, order.append, "a")
+        slot = sim.reserve_sequence()
+        sim.schedule_at(1.0, order.append, "c")
+        # Scheduled last, but at the place reserved before "c".
+        sim.schedule_reserved(1.0, slot, order.append, "b")
+        assert sim.pending_events == 3
+        sim.run()
+        assert order == ["a", "b", "c"]
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(0.5, sim.reserve_sequence(), order.append,
+                                  "late")
 
 
 class TestRunControl:

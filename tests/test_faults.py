@@ -11,6 +11,8 @@ report and the ``repro faults`` CLI expose all of it.
 """
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -19,6 +21,7 @@ from repro.errors import ReproError
 from repro.experiments.conditions import study_scenario
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import (
+    StudyResults,
     run_pair_experiment,
     run_study,
     study_conditions,
@@ -39,6 +42,7 @@ from repro.telemetry.events import (
     ROUTE_RECONVERGED,
 )
 from repro.telemetry.sinks import encode_event
+from repro.validate.differential import study_surface
 
 SEED = 2002
 
@@ -350,3 +354,52 @@ class TestAtFracBoundaries:
             return [encode_event(e) for e in telemetry.memory_events()]
 
         assert traced(2) == traced(1)
+
+
+#: ``study_surface`` digests (sha256 of the sorted-key JSON) of pair
+#: runs 0, 5 and 9 at scale 0.1 with the middle link's jitter off,
+#: recorded while every link serialized with two events per packet.
+#: With no jitter every link of the path runs the one-event
+#: transmitter, and these are the only runs whose faults mutate such a
+#: link: a study faults the jittered middle link.
+ZERO_JITTER_SURFACES = {
+    None: "4dd56d6dfe6ed99d6c685dd4e121ffe85f582e1a95e4267f741da39f1aa253ca",
+    "burst-loss":
+        "567b4a0a79347d1f9118791babe35054874a7bb3f17d967076663ce231875bd7",
+    "congestion-surge":
+        "564684cacbc5d74c6379db251207334988d2a3da4b06737e36e0f14f137b29d2",
+    "degrade":
+        "6dde6dc19d07f69571acb5b5ad7c9e690b9ea2f47beac4f43f3672c5a8c20cc1",
+    "link-flap":
+        "2138e83f92b18f5056ac856735d1e906fba61b0475d08fa3bfccad46f4bfd354",
+    "server-crash":
+        "a87c5b5f73ed44e81c7c6e84386a25af34b35ba01bbd1a90429ef2c920cc72bb",
+    "server-pause":
+        "b08edcb58cb4412916f92cbeca73ad1a56c199a7dfc80b7c2042013a92a9d245",
+}
+
+
+class TestZeroJitterFaultRuns:
+    """Faults on links without jitter keep the pinned output; ``degrade``
+    changes the delay while a packet is on the wire."""
+
+    @pytest.mark.parametrize("name", sorted(ZERO_JITTER_SURFACES, key=str),
+                             ids=str)
+    def test_surfaces_match_pins(self, name):
+        pairs = build_table1_library(duration_scale=0.1).all_pairs()
+        scenario = None if name is None else build_scenario(name, SEED)
+        runs = []
+        for index in (0, 5, 9):
+            clip_set, pair = pairs[index]
+            conditions = dataclasses.replace(study_conditions(SEED, index),
+                                             jitter_std=0.0)
+            runs.append(run_pair_experiment(
+                clip_set, pair, seed=SEED + index, conditions=conditions,
+                scenario=scenario))
+        surfaces = study_surface(StudyResults(runs=runs))
+        digest = hashlib.sha256(
+            json.dumps(surfaces, sort_keys=True).encode()).hexdigest()
+        assert digest == ZERO_JITTER_SURFACES[name]
+
+    def test_every_named_scenario_is_pinned(self):
+        assert set(ZERO_JITTER_SURFACES) == {None, *scenario_names()}

@@ -1,14 +1,21 @@
 """Link serialization, queueing, loss, and jitter tests."""
 
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
+from repro.netsim.flowlevel import FlowLevelConfig
 from repro.netsim.headers import IPv4Header, IpProtocol
 from repro.netsim.link import Link, LossModel
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
+from repro.telemetry import Telemetry
+from repro.telemetry.spans import SpanRecorder
 
 
 class SinkNode(Node):
@@ -201,3 +208,161 @@ class TestLossAndJitter:
         link.send_from(a, Packet(ip=header))
         sim.run()
         assert b.received == []
+
+
+def zero_jitter():
+    """Always 0.0: the arithmetic of ``jitter=None``, but as a callable,
+    which keeps the two-event transmitter (the reference)."""
+    return 0.0
+
+
+class TestEventCount:
+    """An uncontended packet costs one event on a zero-jitter link.
+
+    A burst of n sent at one instant costs its n deliveries plus one
+    transmitter completion per packet that waited (n - 1).  A jitter
+    callable, span tracing, or a flow-level director keeps the two-event
+    transmitter: 2 events per packet either way.
+    """
+
+    @staticmethod
+    def spaced_and_burst_events(sim, jitter=None):
+        a, b, link = build(sim, jitter=jitter)
+        spaced = 0
+        for _ in range(20):
+            link.send_from(a, make_packet())
+            spaced += sim.run()
+        for _ in range(20):
+            link.send_from(a, make_packet())
+        burst = sim.run()
+        assert len(b.received) == 40
+        return spaced, burst
+
+    def test_zero_jitter_link_spends_one_event_per_idle_hop(self):
+        assert self.spaced_and_burst_events(Simulator()) == (20, 2 * 20 - 1)
+
+    @pytest.mark.parametrize("make_sim, jitter", [
+        (Simulator, zero_jitter),
+        (lambda: Simulator(telemetry=Telemetry(spans=SpanRecorder())), None),
+        (lambda: Simulator(fast_path=FlowLevelConfig()), None),
+    ], ids=["jitter-callable", "span-tracing", "flow-level-director"])
+    def test_two_event_transmitter_kept(self, make_sim, jitter):
+        assert self.spaced_and_burst_events(make_sim(), jitter) == (40, 40)
+
+
+BANDWIDTHS = (units.kbps(64), units.mbps(1), units.mbps(10))
+DELAYS = (0.0, 0.0005, 0.004, 0.03)
+
+#: A burst: (send time, packet sizes sent at that instant, whether one
+#: more packet follows at exactly the instant the wire frees up).
+BURSTS = st.tuples(st.floats(min_value=0.0, max_value=0.1),
+                   st.lists(st.integers(min_value=40, max_value=1500),
+                            min_size=1, max_size=6),
+                   st.booleans())
+
+#: A link change: (time, action, value).  An integer time picks a
+#: serialization-end instant of the unchanged traffic; a float is a
+#: plain time.
+CHANGES = st.tuples(
+    st.one_of(st.integers(min_value=0, max_value=1000),
+              st.floats(min_value=0.0, max_value=0.3)),
+    st.sampled_from(["delay", "bandwidth", "up"]),
+    st.integers(min_value=0, max_value=3))
+
+
+def apply_change(link, action, value):
+    if action == "delay":
+        link.set_propagation_delay(DELAYS[value])
+    elif action == "bandwidth":
+        link.set_bandwidth(BANDWIDTHS[value % len(BANDWIDTHS)])
+    else:
+        link.set_up(value % 2 == 1)
+
+
+def send_burst(sim, link, a, sizes, chained):
+    for size in sizes:
+        link.send_from(a, make_packet(size))
+    wire_free = link._forward._busy_until
+    if chained and wire_free >= sim.now:
+        sim.schedule_at(wire_free, link.send_from, a, make_packet(sizes[0]))
+
+
+def replay(jitter, bandwidth, delay, capacity, bursts, changes=(),
+           checkpoints=()):
+    """Run one link through a schedule; its observable state at each
+    checkpoint and at the end, plus the serialization-end instants."""
+    sim = Simulator()
+    a, b, link = build(sim, bandwidth_bps=bandwidth, propagation_delay=delay,
+                       queue_capacity_bytes=capacity, jitter=jitter)
+    direction = link._forward
+    ends = []
+    if jitter is not None:
+        finish = direction._finish_transmit
+
+        def record_end(packet):
+            ends.append(sim.now)
+            finish(packet)
+
+        direction._finish_transmit = record_end
+    # Changes first, as FaultController.arm schedules a whole scenario
+    # before the traffic it disturbs.
+    for at, action, value in changes:
+        sim.schedule_at(at, apply_change, link, action, value)
+    for at, sizes, chained in bursts:
+        sim.schedule_at(at, send_burst, sim, link, a, sizes, chained)
+    states = []
+    for until in (*checkpoints, None):
+        sim.run(until=until)
+        states.append((
+            [(t, packet.ip_bytes) for t, packet in b.received],
+            dataclasses.astuple(link.direction_stats(a)),
+            dataclasses.astuple(link.queue_stats(a)),
+            direction._in_flight))
+    return states, ends
+
+
+class TestOneEventMatchesTwoEvent:
+    """``jitter=None`` (one event per idle hop) against a 0.0 callable
+    (two events per hop) on otherwise identical links: the same
+    deliveries, direction and queue counters, and in-flight count."""
+
+    @given(bandwidth=st.sampled_from(BANDWIDTHS),
+           delay=st.sampled_from(DELAYS),
+           capacity=st.integers(min_value=1500, max_value=9000),
+           bursts=st.lists(BURSTS, min_size=1, max_size=8),
+           changes=st.lists(CHANGES, max_size=5),
+           checkpoint_picks=st.lists(st.integers(min_value=0,
+                                                 max_value=1000),
+                                     max_size=3))
+    @settings(max_examples=200, deadline=None)
+    # A packet sent when the wire frees up, scheduled before a second
+    # packet came to wait: the waiting packet must still go first.
+    @example(bandwidth=units.kbps(64), delay=0.0, capacity=1500,
+             bursts=[(0.0, [40], True), (0.0, [40], False)], changes=[],
+             checkpoint_picks=[])
+    # The delay drops while the second of two packets serializes: it
+    # takes the new delay but may not overtake the first.
+    @example(bandwidth=units.mbps(10), delay=0.03, capacity=9000,
+             bursts=[(0.0, [1500, 1500], False)],
+             changes=[(0.002, "delay", 1)], checkpoint_picks=[])
+    # The delay drops exactly when a packet finishes serializing.
+    @example(bandwidth=units.kbps(64), delay=0.03, capacity=9000,
+             bursts=[(0.0, [1500], False)], changes=[(0, "delay", 1)],
+             checkpoint_picks=[])
+    def test_same_observables(self, bandwidth, delay, capacity, bursts,
+                              changes, checkpoint_picks):
+        _, ends = replay(zero_jitter, bandwidth, delay, capacity, bursts)
+        assert ends  # the first packet always fits the queue
+
+        def resolve(when):
+            return ends[when % len(ends)] if isinstance(when, int) else when
+
+        timed = [(resolve(when), action, value)
+                 for when, action, value in changes]
+        checkpoints = sorted({ends[pick % len(ends)]
+                              for pick in checkpoint_picks})
+        reference, _ = replay(zero_jitter, bandwidth, delay, capacity,
+                              bursts, timed, checkpoints)
+        one_event, _ = replay(None, bandwidth, delay, capacity, bursts,
+                              timed, checkpoints)
+        assert one_event == reference
