@@ -6,15 +6,18 @@ regression in the hot paths shows up as a diffable number, not a
 feeling.  The emitter is deliberately tiny and dependency-free: it
 reads the session's pytest-benchmark stats and writes one JSON object
 per benchmark with the median (the robust central estimate the
-acceptance criteria key on) plus enough context to judge it.
+acceptance criteria key on) plus enough context to judge it: the
+Python version and the machine's shape (CPU count and the CPUs this
+process may run on), without which a timing cannot back a claim.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 try:
     import resource
@@ -32,6 +35,20 @@ def peak_rss_kb() -> int:
     if resource is None:
         return 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def machine_shape() -> Dict[str, Optional[int]]:
+    """The CPUs the benchmarks ran with.
+
+    ``affinity_cpus`` counts the CPUs this process may be scheduled on
+    (``os.sched_getaffinity``); it is ``None`` on platforms without
+    that call.  A parallel bench with more workers than these CPUs is
+    oversubscribed, and only the artifact can say so.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return {"cpu_count": os.cpu_count(),
+            "affinity_cpus": (len(getaffinity(0))
+                              if getaffinity is not None else None)}
 
 
 def benchmark_records(benchmarks: Iterable[object]) -> List[Dict[str, object]]:
@@ -69,6 +86,7 @@ def write_benchmark_json(benchmarks: Iterable[object], path: str) -> bool:
     document = {
         "python": platform.python_version(),
         "platform": sys.platform,
+        **machine_shape(),
         "peak_rss_kb": peak_rss_kb(),
         "benchmarks": records,
     }

@@ -8,6 +8,12 @@ benchmark — the event-loop bench and the end-to-end study benches —
 fails the build; every other bench is reported but only advisory, and
 a bench present on one side only is reported as such.
 
+Both artifacts' machine shapes (Python, platform, CPU count, affinity
+CPUs) are printed first, with a note when they differ: medians from
+differently shaped machines are not like for like.  The note never
+changes the exit code, and an artifact written before the emitter
+recorded CPUs (the keys are missing) reads as "unrecorded".
+
 Usage::
 
     python scripts/bench_compare.py BASELINE.json FRESH.json \
@@ -22,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict
+from typing import Dict, List
 
 #: Benches whose regression fails the build (the rest are advisory:
 #: CI-runner noise on sub-10ms benches would make them flaky gates).
@@ -40,12 +46,39 @@ GUARDED = frozenset({
 
 DEFAULT_THRESHOLD = 0.25
 
+#: The artifact keys that describe the machine a timing came from.
+SHAPE_KEYS = ("python", "platform", "cpu_count", "affinity_cpus")
 
-def load_medians(path: str) -> Dict[str, float]:
+
+def load_artifact(path: str) -> dict:
     with open(path) as stream:
-        document = json.load(stream)
+        return json.load(stream)
+
+
+def medians(document: dict) -> Dict[str, float]:
     return {bench["name"]: bench["median_seconds"]
             for bench in document["benchmarks"]}
+
+
+def shape_report(baseline: dict, fresh: dict) -> List[str]:
+    """Lines describing both artifacts' machine shapes, ending with a
+    note naming the keys that differ (a key missing from an artifact
+    counts as differing)."""
+    def describe(document: dict) -> str:
+        return ", ".join(
+            f"{key} {document[key] if key in document else 'unrecorded'}"
+            for key in SHAPE_KEYS)
+
+    lines = [f"  baseline machine: {describe(baseline)}",
+             f"  fresh machine:    {describe(fresh)}"]
+    differing = [key for key in SHAPE_KEYS
+                 if baseline.get(key, "unrecorded")
+                 != fresh.get(key, "unrecorded")]
+    if differing:
+        lines.append(f"  note: machine shapes differ in "
+                     f"{', '.join(differing)}; the medians are not "
+                     "like for like")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -58,8 +91,12 @@ def main(argv=None) -> int:
                              "benches (default %(default)s)")
     args = parser.parse_args(argv)
 
-    baseline = load_medians(args.baseline)
-    fresh = load_medians(args.fresh)
+    baseline_document = load_artifact(args.baseline)
+    fresh_document = load_artifact(args.fresh)
+    for line in shape_report(baseline_document, fresh_document):
+        print(line)
+    baseline = medians(baseline_document)
+    fresh = medians(fresh_document)
 
     failures = []
     for name in sorted(baseline.keys() | fresh.keys()):

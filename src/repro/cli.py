@@ -52,6 +52,7 @@ invocation in a fresh process skips the simulation entirely.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -330,6 +331,17 @@ class _UsageError(Exception):
     """A bad argument: :func:`main` prints it on stderr and exits 2."""
 
 
+def _check_positive(label: str, value: float) -> None:
+    """Refuse a value that is not positive and finite: ``nan`` and
+    ``inf`` parse as floats, and NaN passes a plain ``<= 0`` test.
+
+    Raises:
+        _UsageError: naming ``label``.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{label} must be positive and finite, got {value}")
+
+
 def _spec_from_args(args: argparse.Namespace):
     """The :class:`~repro.experiments.spec.RunSpec` the shared flags
     describe, checked against the compatibility table.
@@ -348,8 +360,7 @@ def _spec_from_args(args: argparse.Namespace):
     from repro.repair import RepairConfig
 
     options = vars(args)
-    if args.scale <= 0:
-        raise _UsageError(f"--scale must be positive, got {args.scale}")
+    _check_positive("--scale", args.scale)
     if options.get("jobs", 1) < 0:
         raise _UsageError(f"--jobs must be >= 0, got {args.jobs}")
     # `repro faults NAME` and `repro cc NAME` take positionally what
@@ -530,16 +541,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.experiments.tcp_friendly import run_probe
     from repro.media.clip import PlayerFamily
 
-    if args.kbps <= 0:
-        return _usage_error(f"kbps must be positive, got {args.kbps}")
+    _check_positive("kbps", args.kbps)
     if not 0.0 <= args.loss <= 1.0:
         return _usage_error(
             f"loss must be a fraction in [0, 1], got {args.loss}")
-    if args.rtt <= 0:
-        return _usage_error(f"--rtt must be positive, got {args.rtt}")
-    if args.duration <= 0:
-        return _usage_error(
-            f"--duration must be positive, got {args.duration}")
+    _check_positive("--rtt", args.rtt)
+    _check_positive("--duration", args.duration)
     family = (PlayerFamily.REAL if args.family == "real"
               else PlayerFamily.WMP)
     result = run_probe(family, args.kbps, loss_probability=args.loss,
@@ -565,13 +572,9 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     from repro.core.turbulence import TurbulenceProfile
     from repro.experiments.aggregate import run_boundary_study
 
-    if args.clients <= 0:
-        return _usage_error(f"--clients must be positive, got {args.clients}")
-    if args.duration <= 0:
-        return _usage_error(
-            f"--duration must be positive, got {args.duration}")
-    if args.kbps <= 0:
-        return _usage_error(f"--kbps must be positive, got {args.kbps}")
+    _check_positive("--clients", args.clients)
+    _check_positive("--duration", args.duration)
+    _check_positive("--kbps", args.kbps)
     result = run_boundary_study(client_count=args.clients,
                                 duration=args.duration,
                                 encoded_kbps=args.kbps, seed=args.seed)
@@ -603,11 +606,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.media.clip import PlayerFamily
 
-    if args.kbps <= 0:
-        return _usage_error(f"kbps must be positive, got {args.kbps}")
-    if args.duration <= 0:
-        return _usage_error(
-            f"duration must be positive, got {args.duration}")
+    _check_positive("kbps", args.kbps)
+    _check_positive("duration", args.duration)
     family = (PlayerFamily.REAL if args.family == "real"
               else PlayerFamily.WMP)
     flow = generate_flow(family, args.kbps, args.duration, seed=args.seed)

@@ -15,6 +15,7 @@ one on the wire: one event per packet on an idle link instead of two
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
@@ -130,6 +131,24 @@ class DirectionStats:
 def _no_jitter() -> float:
     """The jitter draw of a direction built without jitter."""
     return 0.0
+
+
+def _check_bandwidth(bandwidth_bps: float) -> None:
+    """Refuse a rate that is not positive and finite.
+
+    NaN passes a plain ``<= 0`` test, and serialization divides by the
+    rate with no check of its own (see :meth:`_Direction._transmit_next`).
+    """
+    if not (math.isfinite(bandwidth_bps) and bandwidth_bps > 0):
+        raise ValueError(
+            f"bandwidth must be positive and finite, got {bandwidth_bps}")
+
+
+def _check_propagation_delay(delay: float) -> None:
+    """Refuse a delay that is negative, NaN or infinite."""
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ValueError(
+            f"propagation delay must be nonnegative and finite, got {delay}")
 
 
 class _Direction:
@@ -308,7 +327,7 @@ class _Direction:
             # reorder the wire.  Hold the queue until the occupancy
             # ends.  (One float compare, always false without a
             # director — _reserved_until never leaves 0.0 then.)
-            if len(self._queue):
+            if self._queue._queue:
                 # A real packet is now waiting out a virtual train —
                 # the packet-level schedule might have interleaved it
                 # mid-train, so this run is no longer provably exact.
@@ -330,8 +349,9 @@ class _Direction:
         self._in_flight += 1
         if self._spans is not None and packet.span is not None:
             self._spans.tx_started(packet, sim.now, self._label)
-        tx_delay = units.transmission_delay(packet.wire_bytes,
-                                            self._bandwidth_bps)
+        # units.transmission_delay's float operations, inline: the
+        # link checked the bandwidth when it was set.
+        tx_delay = packet.wire_bytes * 8.0 / self._bandwidth_bps
         finish = sim.now + tx_delay
         self._busy_until = finish
         if not self._one_event:
@@ -350,7 +370,7 @@ class _Direction:
         self._clamp_before_wire = clamp
         self._last_delivery = arrival
         self._wire_delivery = sim.schedule_at(arrival, self._deliver, packet)
-        if len(self._queue):
+        if self._queue._queue:
             self._busy = True
             sim.schedule_reserved(finish, completion, self._transmit_next)
         else:
@@ -413,8 +433,10 @@ class Link:
     Args:
         sim: owning simulator.
         a, b: endpoint nodes; the link registers itself with both.
-        bandwidth_bps: serialization rate, bits/second, per direction.
-        propagation_delay: one-way latency in seconds.
+        bandwidth_bps: serialization rate, bits/second, per direction;
+            positive and finite.
+        propagation_delay: one-way latency in seconds; nonnegative and
+            finite.
         queue_capacity_bytes: drop-tail queue size per direction.
         loss: optional shared loss model (defaults to lossless).
         jitter: optional zero-arg callable returning extra per-packet
@@ -434,10 +456,8 @@ class Link:
                  jitter: Optional[Callable[[], float]] = None,
                  queue_factory: Optional[Callable[[], DropTailQueue]] = None,
                  ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if propagation_delay < 0:
-            raise ValueError("propagation delay must be nonnegative")
+        _check_bandwidth(bandwidth_bps)
+        _check_propagation_delay(propagation_delay)
         self.sim = sim
         self.a = a
         self.b = b
@@ -492,8 +512,7 @@ class Link:
         Applies to packets whose transmission starts after the call;
         the packet currently on the wire finishes at the old rate.
         """
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
+        _check_bandwidth(bandwidth_bps)
         self.bandwidth_bps = bandwidth_bps
         self._forward._bandwidth_bps = bandwidth_bps
         self._reverse._bandwidth_bps = bandwidth_bps
@@ -505,8 +524,7 @@ class Link:
         Applies to every packet that has not finished serializing,
         including the one on the wire.
         """
-        if delay < 0:
-            raise ValueError("propagation delay must be nonnegative")
+        _check_propagation_delay(delay)
         self.propagation_delay = delay
         self._forward.set_propagation_delay(delay)
         self._reverse.set_propagation_delay(delay)

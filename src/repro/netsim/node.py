@@ -126,7 +126,10 @@ class Router(Node):
         self.ttl_expired = 0
 
     def handle_packet(self, packet: Packet) -> None:
-        if self.address is not None and packet.ip.dst == self.address:
+        # Compare the addresses' integer values, not the dataclasses:
+        # this test runs once per packet per hop.
+        if (self.address is not None
+                and packet.ip.dst.value == self.address.value):
             # Routers terminate only ICMP aimed at themselves (ping of a
             # hop); everything else addressed to a router is dropped.
             self._handle_local(packet)

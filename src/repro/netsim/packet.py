@@ -44,6 +44,16 @@ class Packet:
         span: provenance span context set by the sender's IP layer when
             a :class:`~repro.telemetry.spans.SpanRecorder` is installed;
             ``None`` otherwise (and on all non-traced traffic).
+        ip_bytes: size of the IP packet (header + payload).
+        wire_bytes: size on an Ethernet wire, as a sniffer reports it.
+
+    ``ip_bytes`` and ``wire_bytes`` are plain attributes, not fields:
+    ``__post_init__`` computes them once from ``ip.total_length``, so
+    every hop that queues, serializes or counts the packet reads them
+    without a call.  They are fixed at construction, so a packet with a
+    different ``ip`` header must be built anew (the constructor or
+    ``dataclasses.replace``), never made by assigning ``ip``.
+    :meth:`forwarded` keeps them, since a TTL change keeps the size.
     """
 
     ip: IPv4Header
@@ -54,25 +64,15 @@ class Packet:
     span: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.ip.total_length < self.ip.header_bytes:
+        total_length = self.ip.total_length
+        if total_length < self.ip.header_bytes:
             raise PacketError(
-                f"IP total_length {self.ip.total_length} smaller than header")
+                f"IP total_length {total_length} smaller than header")
         if self.ip.is_trailing_fragment and self.transport is not None:
             raise PacketError("trailing fragments must not carry a "
                               "transport header")
-
-    # ------------------------------------------------------------------
-    # Size accounting
-    # ------------------------------------------------------------------
-    @property
-    def ip_bytes(self) -> int:
-        """Size of the IP packet (header + payload)."""
-        return self.ip.total_length
-
-    @property
-    def wire_bytes(self) -> int:
-        """Size on an Ethernet wire, as a sniffer reports it."""
-        return units.wire_frame_bytes(self.ip.total_length)
+        self.ip_bytes: int = total_length
+        self.wire_bytes: int = units.wire_frame_bytes(total_length)
 
     @property
     def is_fragment(self) -> bool:
@@ -92,8 +92,8 @@ class Packet:
 
         Routers forward one hop at a time; the flow-level fast path
         delivers a packet across a whole path at once.  The copy is
-        built from this packet's field dict, since a validated packet
-        needs no second ``__post_init__``.
+        built from this packet's attribute dict, sizes included, since
+        a validated packet needs no second ``__post_init__``.
 
         Raises:
             PacketError: if the TTL would go negative.

@@ -76,13 +76,16 @@ class DropTailQueue:
 
     def offer(self, packet: Packet) -> bool:
         """Enqueue the packet if it fits; return False if dropped."""
-        if self._bytes + packet.ip_bytes > self.capacity_bytes:
+        queued = self._bytes + packet.ip_bytes
+        if queued > self.capacity_bytes:
             self._note_drop(packet)
             return False
         self._queue.append(packet)
-        self._bytes += packet.ip_bytes
-        self.stats.enqueued += 1
-        self.stats.peak_bytes = max(self.stats.peak_bytes, self._bytes)
+        self._bytes = queued
+        stats = self.stats
+        stats.enqueued += 1
+        if queued > stats.peak_bytes:
+            stats.peak_bytes = queued
         if self._telemetry is not None:
             self._depth_gauge.set(self._bytes, self._telemetry.now())
             if self._spans is not None and packet.span is not None:

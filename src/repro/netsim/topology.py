@@ -13,6 +13,7 @@ so a simultaneous RealPlayer + MediaPlayer experiment shares one path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -52,6 +53,13 @@ class PathTopology:
         return self.servers[0]
 
 
+def _check_rtt(rtt: float) -> None:
+    """Refuse an rtt that is not positive and finite (NaN passes a
+    plain ``<= 0`` test and would reach the event loop as a time)."""
+    if not (math.isfinite(rtt) and rtt > 0):
+        raise ValueError(f"rtt must be positive and finite, got {rtt}")
+
+
 def build_path_topology(sim: Simulator, hop_count: int = 17,
                         rtt: float = 0.040, server_count: int = 2,
                         access_bandwidth_bps: float = units.mbps(10),
@@ -78,13 +86,19 @@ def build_path_topology(sim: Simulator, hop_count: int = 17,
 
     Returns:
         A :class:`PathTopology`.
+
+    Raises:
+        ValueError: for a count out of range, an rtt that is not
+            positive and finite, or a NaN or infinite ``jitter_std``
+            (the links refuse such rates and delays themselves).
     """
     if hop_count < 2:
         raise ValueError("hop_count must be at least 2")
     if server_count < 1:
         raise ValueError("need at least one server")
-    if rtt <= 0:
-        raise ValueError("rtt must be positive")
+    _check_rtt(rtt)
+    if not math.isfinite(jitter_std):
+        raise ValueError(f"jitter_std must be finite, got {jitter_std}")
 
     router_count = hop_count - 1
     client_alloc = AddressAllocator(CLIENT_SUBNET)
@@ -200,14 +214,14 @@ def build_campus_topology(sim: Simulator, client_count: int = 4,
     at once.
 
     Raises:
-        ValueError: for nonpositive counts or rtt.
+        ValueError: for nonpositive counts, or an rtt that is not
+            positive and finite.
     """
     if client_count < 1:
         raise ValueError("need at least one client")
     if hop_count < 2:
         raise ValueError("hop_count must be at least 2")
-    if rtt <= 0:
-        raise ValueError("rtt must be positive")
+    _check_rtt(rtt)
 
     client_alloc = AddressAllocator(CLIENT_SUBNET)
     server_alloc = AddressAllocator(SERVER_SUBNET)

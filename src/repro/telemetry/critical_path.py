@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.telemetry.events import round_export
 from repro.telemetry.spans import (
     SPAN_ADU,
     SPAN_BUFFER,
@@ -44,10 +45,6 @@ from repro.telemetry.spans import (
     Span,
     SpanRecorder,
 )
-
-#: Exported floats are rounded like the other telemetry exporters.
-FLOAT_DECIMALS = 9
-
 
 @dataclass
 class HopTiming:
@@ -98,18 +95,18 @@ class AduLatency:
         record: Dict[str, object] = {
             "trace": self.trace, "family": self.family,
             "seq": self.sequence, "fragments": self.fragment_count,
-            "start": round(self.start, FLOAT_DECIMALS),
-            "end": round(self.end, FLOAT_DECIMALS),
-            "total": round(self.total, FLOAT_DECIMALS),
-            "queueing": round(self.queueing, FLOAT_DECIMALS),
-            "serialization": round(self.serialization, FLOAT_DECIMALS),
-            "propagation": round(self.propagation, FLOAT_DECIMALS),
-            "reassembly_wait": round(self.reassembly_wait, FLOAT_DECIMALS),
-            "buffer_wait": round(self.buffer_wait, FLOAT_DECIMALS),
+            "start": round_export(self.start),
+            "end": round_export(self.end),
+            "total": round_export(self.total),
+            "queueing": round_export(self.queueing),
+            "serialization": round_export(self.serialization),
+            "propagation": round_export(self.propagation),
+            "reassembly_wait": round_export(self.reassembly_wait),
+            "buffer_wait": round_export(self.buffer_wait),
             "hops": [{"link": hop.link,
-                      "queue": round(hop.queue, FLOAT_DECIMALS),
-                      "tx": round(hop.tx, FLOAT_DECIMALS),
-                      "prop": round(hop.prop, FLOAT_DECIMALS)}
+                      "queue": round_export(hop.queue),
+                      "tx": round_export(hop.tx),
+                      "prop": round_export(hop.prop)}
                      for hop in self.hops],
         }
         if self.run is not None:
@@ -218,10 +215,10 @@ def aggregate_attribution(latencies: Sequence[AduLatency],
         count = len(rows)
         entry: Dict[str, float] = {"count": count}
         mean_total = sum(r.total for r in rows) / count
-        entry["mean_total"] = round(mean_total, FLOAT_DECIMALS)
+        entry["mean_total"] = round_export(mean_total)
         for name in COMPONENT_NAMES:
             mean = sum(getattr(r, name) for r in rows) / count
-            entry[f"mean_{name}"] = round(mean, FLOAT_DECIMALS)
+            entry[f"mean_{name}"] = round_export(mean)
             entry[f"share_{name}"] = round(
                 100.0 * mean / mean_total if mean_total else 0.0, 4)
         entry["mean_fragments"] = round(

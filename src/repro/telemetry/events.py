@@ -15,6 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+#: Every telemetry export rounds its floats to this many decimals:
+#: simulated times are exact under a fixed seed, so the rounding only
+#: normalizes repr noise, and same-seed exports stay byte-identical.
+FLOAT_DECIMALS = 9
+
+
+def round_export(value: Optional[float]) -> Optional[float]:
+    """``value`` rounded to :data:`FLOAT_DECIMALS`; ``None`` stays
+    ``None``."""
+    if value is None:
+        return None
+    return round(value, FLOAT_DECIMALS)
+
+
 # ----------------------------------------------------------------------
 # Event taxonomy.  Constants rather than an Enum: emit sites compare and
 # serialize these millions of times, and a str is both.
@@ -152,7 +166,7 @@ class TraceEvent:
     def as_record(self) -> Dict[str, object]:
         """Flat dict form used by the JSON-lines sink."""
         record: Dict[str, object] = {
-            "type": self.type, "time": round(self.time, 9),
+            "type": self.type, "time": round_export(self.time),
             "seq": self.sequence,
         }
         for key, value in self.fields:

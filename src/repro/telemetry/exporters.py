@@ -25,18 +25,9 @@ from repro.telemetry.events import (
     REBUFFER_START,
     REBUFFER_STOP,
     TraceEvent,
+    round_export,
 )
 from repro.telemetry.registry import MetricsRegistry, format_labels
-
-#: Exported floats are rounded to this many decimals; simulated times
-#: are exact under a fixed seed, so rounding only normalizes repr noise.
-FLOAT_DECIMALS = 9
-
-
-def _round(value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    return round(value, FLOAT_DECIMALS)
 
 
 # ----------------------------------------------------------------------
@@ -52,15 +43,18 @@ def summary_dict(telemetry: Telemetry) -> Dict[str, object]:
     ]
     gauges = [
         {"name": name, "labels": dict(labels),
-         "last": _round(gauge.value), "peak": _round(gauge.peak),
+         "last": round_export(gauge.value),
+         "peak": round_export(gauge.peak),
          "samples": len(gauge.series)}
         for name, labels, gauge in registry.gauges()
     ]
     histograms = [
         {"name": name, "labels": dict(labels), "count": histogram.count,
-         "sum": _round(histogram.total), "min": _round(histogram.min),
-         "max": _round(histogram.max), "mean": _round(histogram.mean),
-         "buckets": [[_round(bound), tally]
+         "sum": round_export(histogram.total),
+         "min": round_export(histogram.min),
+         "max": round_export(histogram.max),
+         "mean": round_export(histogram.mean),
+         "buckets": [[round_export(bound), tally]
                      for bound, tally in zip(histogram.bounds,
                                              histogram.bucket_counts)
                      if tally > 0]}
@@ -102,10 +96,10 @@ def summary_csv(telemetry: Telemetry) -> str:
                   f"{counter.value},\n")
     for name, labels, gauge in registry.gauges():
         out.write(f"gauge,{name},{format_labels(labels)},"
-                  f"{_round(gauge.value)},{_round(gauge.peak)}\n")
+                  f"{round_export(gauge.value)},{round_export(gauge.peak)}\n")
     for name, labels, histogram in registry.histograms():
         out.write(f"histogram,{name},{format_labels(labels)},"
-                  f"{histogram.count},{_round(histogram.max)}\n")
+                  f"{histogram.count},{round_export(histogram.max)}\n")
     out.write(f"meta,events.dropped,,{telemetry.dropped_events()},\n")
     return out.getvalue()
 
@@ -131,7 +125,8 @@ def series_csv(registry: MetricsRegistry,
             continue
         rendered = format_labels(labels)
         for time, value in gauge.series:
-            out.write(f"{name},{rendered},{_round(time)},{_round(value)}\n")
+            out.write(f"{name},{rendered},{round_export(time)},"
+                      f"{round_export(value)}\n")
     return out.getvalue()
 
 

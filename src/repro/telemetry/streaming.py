@@ -44,6 +44,7 @@ from repro.errors import AnalysisError
 from repro.telemetry.events import (
     FAULT_INJECTED,
     FEC_PARITY_SENT,
+    FLOAT_DECIMALS,
     FRAGMENT_EMITTED,
     KEEPALIVE_MISS,
     NACK_SENT,
@@ -64,6 +65,7 @@ from repro.telemetry.events import (
     STREAM_START,
     TCP_RETRANSMIT,
     TraceEvent,
+    round_export,
 )
 from repro.telemetry.registry import DEFAULT_BUCKET_BOUNDS, Histogram
 
@@ -76,10 +78,6 @@ from repro.telemetry.registry import DEFAULT_BUCKET_BOUNDS, Histogram
 #: the whole buffered stream", the refold half of the
 #: ``stream-equivalence`` oracle.
 DEFAULT_SKETCH_CAPACITY = 256
-
-#: Exported floats match the exporter discipline (fixed 9-decimal
-#: rounding normalizes repr noise without losing seeded exactness).
-FLOAT_DECIMALS = 9
 
 #: Entity fields that qualify an event family, in preference order.
 #: ``run`` is deliberately absent: a family key must never incorporate
@@ -94,12 +92,6 @@ _FAMILY_FIELDS: Tuple[str, ...] = (
 #: Fixed-point scale for folded sums: one unit per 1e-9 (the same
 #: resolution the export rounding keeps).
 _FP_SCALE = 10 ** FLOAT_DECIMALS
-
-
-def _round(value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    return round(value, FLOAT_DECIMALS)
 
 
 def _fp(value: float) -> int:
@@ -148,11 +140,11 @@ def _histogram_dict(histogram: ExactSumHistogram) -> Dict[str, object]:
     """The exporter-style rendering of one histogram (nonzero buckets)."""
     return {
         "count": histogram.count,
-        "sum": _round(histogram.exact_total),
-        "min": _round(histogram.min),
-        "max": _round(histogram.max),
-        "mean": _round(histogram.exact_mean),
-        "buckets": [[_round(bound), tally]
+        "sum": round_export(histogram.exact_total),
+        "min": round_export(histogram.min),
+        "max": round_export(histogram.max),
+        "mean": round_export(histogram.exact_mean),
+        "buckets": [[round_export(bound), tally]
                     for bound, tally in zip(histogram.bounds,
                                             histogram.bucket_counts)
                     if tally > 0],
@@ -483,11 +475,11 @@ class TurbulenceRollup:
         result = {
             "delivered_packets": self.delivered_packets,
             "delivered_bytes": self.delivered_bytes,
-            "delivered_rate_kbps": _round(
+            "delivered_rate_kbps": round_export(
                 self.delivered_bytes * 8.0 / 1000.0 / span if span else 0.0),
             "lost_packets": self.lost_packets,
             "queue_drops": self.queue_drops,
-            "loss_rate": _round(
+            "loss_rate": round_export(
                 (self.lost_packets + self.queue_drops) / attempted
                 if attempted else 0.0),
             "frag_trains": self.frag_trains,
@@ -497,14 +489,14 @@ class TurbulenceRollup:
             "playout_starts": self.playout_starts,
             "rebuffer_starts": self.rebuffer_starts,
             "rebuffer_stops": self.rebuffer_stops,
-            "rebuffer_seconds": _round(self.rebuffer_seconds),
-            "rebuffer_ratio": _round(
+            "rebuffer_seconds": round_export(self.rebuffer_seconds),
+            "rebuffer_ratio": round_export(
                 self.rebuffer_seconds / span if span else 0.0),
             "faults_fired": self.faults_fired,
             "recoveries": recoveries,
             "recovery_count": sum(recoveries.values()),
-            "first_time": _round(self.first_time),
-            "last_time": _round(self.last_time),
+            "first_time": round_export(self.first_time),
+            "last_time": round_export(self.last_time),
         }
         if self.repair_active:
             recovered = self.repairs_parity + self.repairs_rtx
@@ -519,17 +511,19 @@ class TurbulenceRollup:
                 "recovered_rtx": self.repairs_rtx,
                 "recovered_before_deadline": self.repairs_before_deadline,
                 "abandoned": self.repairs_abandoned,
-                "repair_ratio": _round(
+                "repair_ratio": round_export(
                     recovered / settled if settled else 0.0),
                 "qoe": {
                     "runs": self.qoe_runs,
-                    "mean": _round(self.qoe_sum_fp / _FP_SCALE
-                                   / self.qoe_runs
-                                   if self.qoe_runs else 0.0),
-                    "min": _round(self.qoe_min_fp / _FP_SCALE
-                                  if self.qoe_min_fp is not None else None),
-                    "max": _round(self.qoe_max_fp / _FP_SCALE
-                                  if self.qoe_max_fp is not None else None),
+                    "mean": round_export(
+                        self.qoe_sum_fp / _FP_SCALE / self.qoe_runs
+                        if self.qoe_runs else 0.0),
+                    "min": round_export(
+                        self.qoe_min_fp / _FP_SCALE
+                        if self.qoe_min_fp is not None else None),
+                    "max": round_export(
+                        self.qoe_max_fp / _FP_SCALE
+                        if self.qoe_max_fp is not None else None),
                 },
             }
         return result
@@ -632,7 +626,7 @@ class StreamingSummary:
     def as_dict(self) -> Dict[str, object]:
         return {
             "config": {"sketch_capacity": self.sketch_capacity,
-                       "bounds": [_round(b) for b in self.bounds]},
+                       "bounds": [round_export(b) for b in self.bounds]},
             "events": {"folded": self.events_folded,
                        "by_type": dict(sorted(self.events_by_type.items()))},
             "families": self.families.as_dict(),

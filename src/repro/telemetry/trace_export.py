@@ -15,8 +15,9 @@ per-hop waterfall, zoomable.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
+from repro.telemetry.events import round_export
 from repro.telemetry.spans import (
     SPAN_ADU,
     SPAN_BUFFER,
@@ -25,14 +26,6 @@ from repro.telemetry.spans import (
     Span,
     SpanRecorder,
 )
-
-#: Matches the rest of the telemetry exporters.
-FLOAT_DECIMALS = 9
-
-
-def _round(value: float) -> float:
-    return round(value, FLOAT_DECIMALS)
-
 
 def _micros(seconds: float) -> float:
     """Simulated seconds -> trace-event microseconds, normalized."""
@@ -116,12 +109,12 @@ def span_record(span: Span) -> Dict[str, object]:
     """One span as the flat dict the JSONL export encodes."""
     record: Dict[str, object] = {
         "id": span.id, "trace": span.trace, "kind": span.kind,
-        "start": _round(span.start),
+        "start": round_export(span.start),
     }
     if span.parent is not None:
         record["parent"] = span.parent
     if span.end is not None:
-        record["end"] = _round(span.end)
+        record["end"] = round_export(span.end)
     if span.status is not None:
         record["status"] = span.status
     for key in sorted(span.attrs):

@@ -292,6 +292,24 @@ class TestBadArgumentExitCodes:
         assert main(argv) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("argv,needle", [
+        (["study", "--scale", "{}"], "--scale"),
+        (["validate", "--scale", "{}"], "--scale"),
+        (["probe", "wmp", "{}", "0"], "kbps"),
+        (["probe", "wmp", "100", "0", "--rtt", "{}"], "--rtt"),
+        (["probe", "wmp", "100", "0", "--duration", "{}"], "--duration"),
+        (["boundary", "--kbps", "{}"], "--kbps"),
+        (["boundary", "--duration", "{}"], "--duration"),
+        (["generate", "wmp", "{}", "10"], "kbps"),
+        (["generate", "wmp", "100", "{}"], "duration"),
+    ])
+    def test_non_finite_float_exits_two(self, argv, needle, bad, capsys):
+        # float() parses these, and NaN passes a plain `<= 0` check.
+        assert main([arg.format(bad) for arg in argv]) == 2
+        assert (f"{needle} must be positive and finite"
+                in capsys.readouterr().err)
+
     def test_pcap_info_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["pcap-info", str(tmp_path / "nope.pcap")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -152,6 +152,30 @@ class TestLossAndJitter:
         with pytest.raises(ValueError):
             Link(sim, a, b, propagation_delay=-1)
 
+    @pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_bad_bandwidth_rejected(self, bad):
+        sim = Simulator()
+        a, b, link = build(sim)
+        with pytest.raises(ValueError, match="bandwidth"):
+            Link(sim, a, b, bandwidth_bps=bad)
+        with pytest.raises(ValueError, match="bandwidth"):
+            link.set_bandwidth(bad)
+        assert link.bandwidth_bps == units.mbps(10)
+        assert link._forward._bandwidth_bps == units.mbps(10)
+
+    @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_bad_propagation_delay_rejected(self, bad):
+        sim = Simulator()
+        a, b, link = build(sim)
+        with pytest.raises(ValueError, match="propagation delay"):
+            Link(sim, a, b, propagation_delay=bad)
+        with pytest.raises(ValueError, match="propagation delay"):
+            link.set_propagation_delay(bad)
+        assert link.propagation_delay == 0.001
+        assert link._forward._propagation_delay == 0.001
+
     def test_loss_model_validates_probability(self):
         with pytest.raises(ValueError):
             LossModel(1.5)
@@ -366,3 +390,52 @@ class TestOneEventMatchesTwoEvent:
         one_event, _ = replay(None, bandwidth, delay, capacity, bursts,
                               timed, checkpoints)
         assert one_event == reference
+
+
+#: Serialization rates as the program builds them: plain ints and
+#: floats, ``units.mbps``/``units.kbps`` conversions, and degrade-style
+#: fractions of a nominal rate.
+RATES = st.one_of(
+    st.integers(min_value=1, max_value=2 ** 64),
+    st.floats(min_value=1e-3, max_value=1e12),
+    st.floats(min_value=1e-3, max_value=1e4).map(units.mbps),
+    st.floats(min_value=1.0, max_value=1e5).map(units.kbps),
+    st.tuples(st.sampled_from(BANDWIDTHS + (units.mbps(100),)),
+              st.floats(min_value=1e-3, max_value=1.0)).map(
+        lambda pair: pair[0] * pair[1]),
+)
+
+
+class TestSerializationArithmetic:
+    """The transmitter computes ``units.transmission_delay`` inline, so
+    one packet on an idle link arrives at exactly ``(start +
+    transmission_delay(wire_bytes, bandwidth)) + delay``, on either
+    transmitter path, whether the rate was set at construction or by
+    ``set_bandwidth`` (as a degrade fault sets it)."""
+
+    @given(size=st.integers(min_value=units.IPV4_HEADER_BYTES,
+                            max_value=units.DEFAULT_MTU_BYTES),
+           bandwidth=RATES,
+           delay=st.floats(min_value=0.0, max_value=1.0),
+           start=st.floats(min_value=0.0, max_value=1e3),
+           one_event=st.booleans(),
+           set_later=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(size=1500, bandwidth=units.mbps(10), delay=0.001, start=0.0,
+             one_event=True, set_later=False)
+    @example(size=20, bandwidth=3, delay=0.0, start=0.1, one_event=False,
+             set_later=True)
+    def test_idle_link_arrival_is_bit_exact(self, size, bandwidth, delay,
+                                            start, one_event, set_later):
+        sim = Simulator()
+        a, b, link = build(
+            sim, propagation_delay=delay,
+            jitter=None if one_event else zero_jitter,
+            **({} if set_later else {"bandwidth_bps": bandwidth}))
+        if set_later:
+            link.set_bandwidth(bandwidth)
+        packet = make_packet(size)
+        sim.schedule_at(start, link.send_from, a, packet)
+        sim.run()
+        tx_delay = units.transmission_delay(packet.wire_bytes, bandwidth)
+        assert b.received == [((start + tx_delay) + delay, packet)]

@@ -1,14 +1,19 @@
 """Packet and header model tests."""
 
+import copy
 import pickle
 from dataclasses import fields, replace
 
 import pytest
 
+from repro import units
 from repro.errors import PacketError
 from repro.netsim.addressing import IPAddress
+from repro.netsim.engine import Simulator
 from repro.netsim.headers import IPv4Header, IpProtocol, PayloadMeta, UdpHeader
 from repro.netsim.packet import Packet
+
+from .conftest import HostPair
 
 SRC = IPAddress.parse("64.14.118.1")
 DST = IPAddress.parse("130.215.0.1")
@@ -94,7 +99,34 @@ SHAPES = {
 }
 
 
+def fragments_of(payload_bytes):
+    """The packets a host's IP layer emits for one UDP datagram."""
+    pair = HostPair(Simulator())
+    header = UdpHeader(src_port=1, dst_port=2,
+                       length=units.UDP_HEADER_BYTES + payload_bytes)
+    return pair.left.ip.send(pair.right.address, IpProtocol.UDP, header,
+                             units.UDP_HEADER_BYTES, payload_bytes)
+
+
+#: Every way a packet comes to exist: name -> packet of a given shape.
+MAKERS = {
+    "constructor": lambda packet: packet,
+    "replace": lambda packet: replace(packet, datagram_id=5),
+    "replace-ip": lambda packet: replace(
+        packet, ip=replace(packet.ip, total_length=packet.ip_bytes - 8)),
+    "forwarded": lambda packet: packet.forwarded(),
+    "forwarded-17": lambda packet: packet.forwarded(17),
+    "pickle": lambda packet: pickle.loads(pickle.dumps(packet)),
+    "copy": copy.copy,
+}
+
+
 class TestForwardedCopy:
+    """The light forward copy, and the sizes every copy carries:
+    ``ip_bytes`` and ``wire_bytes`` are attributes computed once, not
+    fields, so every path that builds a packet must get them right and
+    the dataclass surface (fields, equality) must not see them."""
+
     @pytest.mark.parametrize("hops", [1, 3, 17])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_matches_the_replace_reference_field_for_field(self, shape, hops):
@@ -136,3 +168,39 @@ class TestForwardedCopy:
         header = make_header(ttl=20, more_fragments=True)
         assert header.decremented(5) == replace(header, ttl=15)
         assert header.ttl == 20
+
+    @staticmethod
+    def assert_sizes(packet):
+        assert packet.ip_bytes == packet.ip.total_length
+        assert packet.wire_bytes == units.wire_frame_bytes(
+            packet.ip.total_length)
+
+    @pytest.mark.parametrize("maker", sorted(MAKERS))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_construction_path_sizes_the_packet(self, shape, maker):
+        packet = Packet(ip=make_header(ttl=64, **SHAPES[shape]["header"]),
+                        transport=SHAPES[shape]["transport"])
+        self.assert_sizes(MAKERS[maker](packet))
+
+    @pytest.mark.parametrize("payload_bytes", [
+        0, 900, units.MAX_UNFRAGMENTED_UDP_PAYLOAD,
+        units.MAX_UNFRAGMENTED_UDP_PAYLOAD + 1, 3840, 20000])
+    def test_ip_layer_fragments_are_sized(self, payload_bytes):
+        packets = fragments_of(payload_bytes)
+        for packet in packets:
+            self.assert_sizes(packet)
+        assert sum(p.ip_bytes for p in packets) == (
+            units.UDP_HEADER_BYTES + payload_bytes
+            + units.IPV4_HEADER_BYTES * len(packets))
+
+    def test_sizes_are_not_dataclass_fields(self):
+        assert [f.name for f in fields(Packet)] == [
+            "ip", "transport", "payload", "uid", "datagram_id", "span"]
+
+    def test_equality_still_compares_the_fields_alone(self):
+        packet = Packet(ip=make_header(), transport=UDP, span=object())
+        assert copy.copy(packet) == packet
+        assert pickle.loads(pickle.dumps(packet)) == packet
+        assert replace(packet, span=None) == packet  # span: compare=False
+        assert replace(packet, datagram_id=1) != packet
+        assert packet.forwarded(0) != packet  # a fresh uid

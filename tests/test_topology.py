@@ -6,6 +6,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.topology import (
     CLIENT_SUBNET,
     SERVER_SUBNET,
+    build_campus_topology,
     build_path_topology,
 )
 
@@ -34,6 +35,22 @@ class TestConstruction:
             build_path_topology(sim, server_count=0)
         with pytest.raises(ValueError):
             build_path_topology(sim, rtt=0)
+
+    @pytest.mark.parametrize("argument, bad", [
+        ("rtt", float("nan")), ("rtt", float("inf")), ("rtt", -0.04),
+        ("jitter_std", float("nan")), ("jitter_std", float("inf")),
+        ("access_bandwidth_bps", float("nan")),
+        ("backbone_bandwidth_bps", float("inf")),
+        ("bottleneck_bps", float("nan")),
+    ])
+    def test_non_finite_inputs_rejected(self, argument, bad):
+        with pytest.raises(ValueError):
+            build_path_topology(Simulator(), **{argument: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_campus_rtt_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="rtt"):
+            build_campus_topology(Simulator(), rtt=bad)
 
 
 class TestEndToEnd:
