@@ -9,7 +9,7 @@ bandwidth and frame-rate timelines and band summaries (Figures 10,
 trend fits (Figure 3), and ASCII rendering for the benchmark harness.
 """
 
-from repro.analysis.bandwidth import bandwidth_series, series_from_stats
+from repro.analysis.bandwidth import bandwidth_series
 from repro.analysis.buffering import (
     BufferingAnalysis,
     detect_buffering_phase,
@@ -48,7 +48,6 @@ from repro.analysis.report import (
     ascii_plot,
     format_table,
     render_cdf,
-    render_pdf,
 )
 
 __all__ = [
@@ -81,8 +80,6 @@ __all__ = [
     "pdf",
     "percentile",
     "render_cdf",
-    "render_pdf",
-    "series_from_stats",
     "summarize",
     "summarize_by_band",
 ]

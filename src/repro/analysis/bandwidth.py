@@ -1,9 +1,10 @@
 """Bandwidth-over-time series (Figure 10).
 
 Two sources: the network trace (wire bytes per interval, what Ethereal
-shows) and the tracker statistics (application bytes per interval, what
-the paper actually plots in Figure 10).  Both return (time, Kbps)
-pairs, time relative to the first observation.
+shows; here) and the tracker statistics (application bytes per
+interval, what the paper actually plots in Figure 10;
+``PlayerStats.bandwidth_timeline``).  Both return (time, Kbps) pairs,
+time relative to the first observation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import List, Tuple
 
 from repro.capture.trace import Trace
 from repro.errors import AnalysisError
-from repro.players.stats import PlayerStats
 
 
 def bandwidth_series(trace: Trace, interval: float = 1.0,
@@ -39,12 +39,6 @@ def bandwidth_series(trace: Trace, interval: float = 1.0,
         buckets[index] += record.wire_bytes if wire else record.ip_bytes
     return [(index * interval, total * 8.0 / interval / 1000.0)
             for index, total in enumerate(buckets)]
-
-
-def series_from_stats(stats: PlayerStats,
-                      interval: float = 1.0) -> List[Tuple[float, float]]:
-    """Application-level delivered rate per interval (Figure 10)."""
-    return stats.bandwidth_timeline(interval=interval)
 
 
 def average_kbps(series: List[Tuple[float, float]]) -> float:

@@ -84,10 +84,3 @@ def render_cdf(points: Sequence[Tuple[float, float]], title: str = "CDF",
     """ASCII rendering of a CDF point list."""
     return ascii_plot(points, title=title, x_label=x_label,
                       y_label="cumulative density")
-
-
-def render_pdf(points: Sequence[Tuple[float, float]], title: str = "PDF",
-               x_label: str = "value") -> str:
-    """ASCII rendering of a PDF point list."""
-    return ascii_plot(points, title=title, x_label=x_label,
-                      y_label="probability density")

@@ -35,10 +35,10 @@
 * ``cache``      — inspect or clear the persistent study cache.
 
 ``study --progress`` renders a live status line (runs done/total, ETA,
-cache state, violations) from heartbeat records — sequential or pool
-workers alike — with a deterministic non-TTY fallback; ``study
---stream-jsonl PATH`` writes each run's online-folded turbulence
-roll-up as one JSON line for ``repro watch``.
+cache state, violations) from heartbeat records, which the parent sends
+in library order under any ``--jobs``, with a deterministic non-TTY
+fallback; ``study --stream-jsonl PATH`` writes each run's online-folded
+turbulence roll-up as one JSON line for ``repro watch``.
 
 ``scorecard --modern`` re-runs the sweep under each transport (2002
 push, AIMD, delay-gradient, ABR ladder) and prints the figure-for-
@@ -342,6 +342,16 @@ def _check_positive(label: str, value: float) -> None:
         raise _UsageError(f"{label} must be positive and finite, got {value}")
 
 
+def _check_nonnegative(label: str, value: float) -> None:
+    """Refuse a negative value, or NaN, which passes a plain ``< 0`` test.
+
+    Raises:
+        _UsageError: naming ``label``.
+    """
+    if not value >= 0:
+        raise _UsageError(f"{label} must be >= 0, got {value}")
+
+
 def _spec_from_args(args: argparse.Namespace):
     """The :class:`~repro.experiments.spec.RunSpec` the shared flags
     describe, checked against the compatibility table.
@@ -361,8 +371,7 @@ def _spec_from_args(args: argparse.Namespace):
 
     options = vars(args)
     _check_positive("--scale", args.scale)
-    if options.get("jobs", 1) < 0:
-        raise _UsageError(f"--jobs must be >= 0, got {args.jobs}")
+    _check_nonnegative("--jobs", options.get("jobs", 1))
     # `repro faults NAME` and `repro cc NAME` take positionally what
     # the other commands take as --faults / --cc.
     fault = options.get("scenario") or options.get("fault_scenario")
@@ -423,12 +432,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if record_stream is not None:
         from repro.experiments.progress import PHASE_DONE
 
-        # Parallel workers finish out of order; hold records until every
-        # earlier run has been written so the tap is byte-identical to a
-        # sequential sweep (and `repro watch` baselines stay ordered).
-        held = {}
-        next_record = [0]
-
         def write_record(beat) -> None:
             if beat.phase != PHASE_DONE or beat.rollup is None:
                 return
@@ -436,11 +439,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
                       "events_folded": beat.events_folded,
                       "violations": beat.violations}
             record.update(beat.rollup)
-            held[beat.index] = record
-            while next_record[0] in held:
-                record_stream.write(json_module.dumps(
-                    held.pop(next_record[0]), sort_keys=True) + "\n")
-                next_record[0] += 1
+            record_stream.write(json_module.dumps(record, sort_keys=True)
+                                + "\n")
             record_stream.flush()
 
         callbacks.append(write_record)
@@ -747,17 +747,12 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.registry import format_labels
 
-    if args.top <= 0:
-        print(f"--top must be a positive integer, got {args.top}",
-              file=sys.stderr)
-        return 2
+    _check_positive("--top", args.top)
     spec = _spec_from_args(args)
-    if args.ring_capacity is not None and args.ring_capacity < 0:
-        return _usage_error(f"--ring-capacity must be >= 0, "
-                            f"got {args.ring_capacity}")
     if args.ring_capacity is None:
         sinks = [MemorySink()]
     else:
+        _check_nonnegative("--ring-capacity", args.ring_capacity)
         # 0 = unbounded, matching MemorySink(capacity=None).
         sinks = [MemorySink(capacity=args.ring_capacity or None)]
     if args.events:
@@ -891,10 +886,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     )
     from repro.telemetry.critical_path import COMPONENT_NAMES
 
-    if args.top <= 0:
-        print(f"--top must be a positive integer, got {args.top}",
-              file=sys.stderr)
-        return 2
+    _check_positive("--top", args.top)
     spec = _spec_from_args(args)
     recorder = SpanRecorder()
     telemetry = Telemetry(spans=recorder)
@@ -1125,9 +1117,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             return _usage_error("--metric needs at least one metric name")
     else:
         metrics = DEFAULT_METRICS
-    if args.idle_timeout < 0:
-        return _usage_error(f"--idle-timeout must be >= 0, "
-                            f"got {args.idle_timeout}")
+    _check_nonnegative("--idle-timeout", args.idle_timeout)
     try:
         rules = build_rules(metrics, z_threshold=args.z,
                             window=args.window,

@@ -89,13 +89,6 @@ class TurbulenceProfile:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def mean_rate_kbps(self) -> float:
-        """Steady delivered rate implied by the profile."""
-        group_bytes = self.mean_packet_bytes * max(1,
-                                                   self.typical_group_size)
-        return group_bytes * 8.0 / self.mean_interarrival / 1000.0
-
     def summary_row(self) -> List[object]:
         """One row for profile comparison tables."""
         return [self.label, f"{self.encoded_kbps:.0f}",

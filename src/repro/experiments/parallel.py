@@ -5,7 +5,13 @@ by ``seed + index``, so the Table 1 corpus parallelizes embarrassingly:
 fan the runs out across worker processes, then merge everything back
 *in library order* so the study is bit-for-bit the sequential one.
 
-Three things make the merge exact rather than approximate:
+The pool adds no per-run logic of its own.  Each worker calls the same
+per-run body the sequential loop does
+(:func:`~repro.experiments.runner.run_index`), and the parent takes
+the futures, in library order, through the same collection loop
+(:func:`~repro.experiments.runner.collect_runs`), which also sends the
+progress heartbeats.  Three things make the merge exact rather than
+approximate:
 
 * **Conditions are derived, not threaded.**  Run ``i`` samples its
   network conditions from ``RandomStreams(seed + i)`` (see
@@ -47,29 +53,24 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import queue as queue_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.experiments.progress import (
-    PHASE_DONE,
-    PHASE_START,
-    Heartbeat,
-    ProgressCallback,
-)
+from repro.experiments.progress import ProgressCallback
 from repro.experiments.runner import (
-    PairRunResult,
+    RunOutcome,
     StudyResults,
-    run_pair_experiment,
-    study_conditions,
+    collect_runs,
+    run_index,
 )
 from repro.experiments.spec import RunSpec
-from repro.telemetry.core import Telemetry, TelemetrySnapshot
+from repro.telemetry.core import Telemetry
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sinks import MemorySink, NullSink
 from repro.telemetry.spans import SpanRecorder
-from repro.telemetry.streaming import StreamingSink, StreamingSummary
+from repro.telemetry.streaming import StreamingSummary
 
 
 @dataclass(frozen=True)
@@ -88,87 +89,40 @@ class _WorkerSpec:
     series_limit: int
     #: Streaming-summary template: workers never fold into it, they
     #: ``spawn()`` a fresh per-run summary with its configuration and
-    #: ship that home on the snapshot.
+    #: ship that home beside the snapshot.
     stream: Optional[StreamingSummary] = None
-    #: Manager-queue proxy for live heartbeats (a raw ``mp.Queue``
-    #: cannot ride through initargs); ``None`` when nobody listens.
-    heartbeats: Optional[object] = None
 
 
 def _worker_telemetry(spec: _WorkerSpec) -> Optional[Telemetry]:
-    """A fresh facade mirroring the parent's shape (never its profiler).
+    """A fresh facade mirroring the parent's shape (never its profiler),
+    or ``None`` when the parent has none.
 
     Event capture uses one *unbounded* memory sink: the parent replays
     the stream through its own (possibly bounded) sinks afterwards, so
     dropping anything here would diverge from a sequential run.
     """
     if not spec.metrics:
-        if spec.stream is None:
-            return None
-        # Stream-only mode: a facade whose bus is inactive until the
-        # per-run streaming sink attaches, exactly like the sequential
-        # loop's internal facade.
-        from repro.telemetry.registry import MetricsRegistry
-
-        return Telemetry(registry=MetricsRegistry(), sinks=[])
-    from repro.telemetry.registry import MetricsRegistry
-
+        return None
     sink = MemorySink(capacity=None) if spec.events else NullSink()
     return Telemetry(registry=MetricsRegistry(spec.series_limit),
                      sinks=[sink],
                      spans=SpanRecorder() if spec.spans else None)
 
 
-def _run_index(spec: _WorkerSpec, index: int
-               ) -> Tuple[PairRunResult, Optional[TelemetrySnapshot]]:
-    """Execute pair run ``index`` of the sweep in this worker.
+def _run_index(spec: _WorkerSpec, index: int) -> RunOutcome:
+    """Pair run ``index`` in this worker: the shared per-run body, plus
+    the snapshot of the worker's facade.
 
     The spec rides along with every task (rather than a pool
     initializer) so one persistent pool can serve studies with
     different configurations back to back.
     """
-    run = spec.run
-    pairs = run.library.all_pairs()
-    clip_set, pair = pairs[index]
-    label = f"set{clip_set.number}-{pair.band.short}"
-    conditions = study_conditions(run.seed, index,
-                                  loss_probability=run.loss_probability)
     telemetry = _worker_telemetry(spec)
-    if telemetry is not None and spec.metrics:
-        telemetry.set_context(run=label)
-    if spec.heartbeats is not None:
-        spec.heartbeats.put(Heartbeat(index=index, total=len(pairs),
-                                      label=label, phase=PHASE_START))
-    per_run = None
-    if spec.stream is not None:
-        per_run = spec.stream.spawn()
-        telemetry.bus.attach(StreamingSink(per_run))
-    result = run_pair_experiment(clip_set, pair, seed=run.seed + index,
-                                 conditions=conditions, telemetry=telemetry,
-                                 scenario=run.scenario, cc=run.cc,
-                                 abr=run.abr, repair=run.repair,
-                                 fast_path=run.fast_path)
-    snapshot: Optional[TelemetrySnapshot] = None
-    if telemetry is not None:
-        if per_run is not None and telemetry.spans is not None:
-            # The worker recorder is fresh per run, so its whole forest
-            # is this run's — the same slice the sequential loop folds.
-            per_run.fold_spans(telemetry.spans.spans)
-        if spec.metrics:
-            telemetry.clear_context()
-            snapshot = telemetry.snapshot()
-            snapshot.streaming = per_run
-        elif per_run is not None:
-            snapshot = TelemetrySnapshot(registry=telemetry.registry,
-                                         streaming=per_run)
-    if spec.heartbeats is not None:
-        spec.heartbeats.put(Heartbeat(
-            index=index, total=len(pairs), label=label, phase=PHASE_DONE,
-            sim_time_frac=1.0,
-            events_folded=per_run.events_folded if per_run else 0,
-            faults_fired=per_run.rollup.faults_fired if per_run else 0,
-            rollup=per_run.rollup.as_dict() if per_run else None))
-    return result, snapshot
+    result, _, per_run = run_index(spec.run, index, telemetry, spec.stream)
+    if telemetry is None:
+        return result, None, per_run
+    telemetry.clear_context()
+    return result, telemetry.snapshot(), per_run
 
 
 def _pool_context():
@@ -222,16 +176,6 @@ def shutdown_pool() -> bool:
 atexit.register(shutdown_pool)
 
 
-def _drain_heartbeats(heartbeats, progress: ProgressCallback) -> None:
-    """Forward every queued heartbeat to the progress callback."""
-    while True:
-        try:
-            beat = heartbeats.get_nowait()
-        except queue_module.Empty:
-            return
-        progress(beat)
-
-
 def run_study_parallel(spec: RunSpec, telemetry: Optional[Telemetry],
                        jobs: int,
                        stream: Optional[StreamingSummary] = None,
@@ -242,57 +186,29 @@ def run_study_parallel(spec: RunSpec, telemetry: Optional[Telemetry],
     Called by :func:`~repro.experiments.runner.run_spec` when
     ``jobs > 1``, with ``spec.library`` resolved; produces results
     identical to the sequential path (same runs in the same order, same
-    merged telemetry, same streaming-summary bytes).  The worker pool
-    outlives the call (see module docstring); only the heartbeat
-    manager, when progress is requested, is per-study.
+    merged telemetry, same streaming-summary bytes, same heartbeats).
+    The worker pool outlives the call (see module docstring).
     """
     pairs = spec.library.all_pairs()
-    manager = None
-    heartbeats = None
-    if progress is not None:
-        manager = _pool_context().Manager()
-        heartbeats = manager.Queue()
     worker_spec = _WorkerSpec(
         run=spec, metrics=telemetry is not None,
         events=telemetry is not None and telemetry.bus.active,
         spans=telemetry is not None and telemetry.spans is not None,
         series_limit=(telemetry.registry._series_limit
                       if telemetry is not None else 0),
-        stream=stream, heartbeats=heartbeats)
-    outcomes: List[Tuple[PairRunResult, Optional[TelemetrySnapshot]]]
+        stream=stream)
     try:
         pool = _ensure_pool(min(jobs, len(pairs)))
-        # submit + wait (rather than map) so the same loop serves both
-        # modes; submission order is library order, and results are
-        # gathered from the future list in that order, which is the
-        # whole determinism guarantee.
+        # Submission order is library order, and the futures are
+        # collected in that order, which is the whole determinism
+        # guarantee.
         futures = [pool.submit(_run_index, worker_spec, index)
                    for index in range(len(pairs))]
-        if heartbeats is not None:
-            pending = set(futures)
-            while pending:
-                _, pending = wait(pending, timeout=0.05,
-                                  return_when=FIRST_COMPLETED)
-                _drain_heartbeats(heartbeats, progress)
-            _drain_heartbeats(heartbeats, progress)
-        outcomes = [future.result() for future in futures]
+        return collect_runs(spec, lambda index: futures[index].result(),
+                            telemetry=telemetry, stream=stream,
+                            progress=progress)
     except BrokenProcessPool:
         # A dead worker poisons the whole executor; drop it so the next
         # study forks a fresh one instead of failing forever.
         shutdown_pool()
         raise
-    finally:
-        if manager is not None:
-            manager.shutdown()
-    results = StudyResults(telemetry=telemetry)
-    for result, snapshot in outcomes:
-        if snapshot is not None:
-            if telemetry is not None:
-                offset = telemetry.merge(snapshot)
-                if offset:
-                    result.trace.rebase_spans(offset)
-            if stream is not None and snapshot.streaming is not None:
-                stream.merge(snapshot.streaming)
-        results.runs.append(result)
-    results.streaming = stream
-    return results

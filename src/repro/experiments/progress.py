@@ -1,29 +1,27 @@
 """Live study progress: heartbeat records and the status-line renderer.
 
 A study run used to be a silent multi-second wait; this module is the
-observable version.  The runner (sequential loop or pool worker) emits
-one :class:`Heartbeat` when a pair run starts and one when it finishes
-— plain frozen data, so worker heartbeats cross the process boundary
-over a manager queue without ceremony — and a progress callback
-consumes them.  :class:`ProgressRenderer` is the CLI's callback: on a
-TTY it redraws a single in-place status line (runs done/total, ETA,
-cache note, violations); on anything else it falls back to one
-deterministic ``run i/N done`` line per run, printed in run-index
-order no matter how workers interleave, so CI logs and tests see
-stable bytes.
+observable version.  The study's collection loop (see
+:func:`~repro.experiments.runner.collect_runs`) emits one
+:class:`Heartbeat` as each pair run starts and one as it finishes, in
+library order and in the parent process, whether the run executed
+in-process or on a pool worker; a progress callback consumes them.
+:class:`ProgressRenderer` is the CLI's callback: on a TTY it redraws a
+single in-place status line (runs done/total, ETA, cache note,
+violations); on anything else it falls back to one deterministic
+``run i/N done`` line per run, so CI logs and tests see stable bytes.
 
 Determinism discipline: heartbeats carry only simulated quantities
-(run index, sim-time fraction, events folded, faults fired,
-violations).  Wall-clock appears exclusively in the TTY rendering
-(elapsed/ETA), which is never exported and never reaches the non-TTY
-path.
+(run index, events folded, faults fired, violations).  Wall-clock
+appears exclusively in the TTY rendering (elapsed/ETA), which is never
+exported and never reaches the non-TTY path.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 #: Heartbeat phases: one of each per pair run.
@@ -40,8 +38,6 @@ class Heartbeat:
         total: pair runs in the sweep.
         label: the run's ``set<N>-<band>`` label.
         phase: :data:`PHASE_START` or :data:`PHASE_DONE`.
-        sim_time_frac: how far through the run simulated time got
-            (0.0 at start, 1.0 once the run completed).
         events_folded: events the run's streaming summary absorbed
             (0 when the study is not streaming).
         faults_fired: fault-controller actions the run executed.
@@ -56,7 +52,6 @@ class Heartbeat:
     total: int
     label: str
     phase: str
-    sim_time_frac: float = 0.0
     events_folded: int = 0
     faults_fired: int = 0
     violations: int = 0
@@ -96,11 +91,6 @@ class ProgressRenderer:
         self.faults_fired = 0
         self.violations = 0
         self._rendered = False
-        #: Non-TTY ordering buffer: done heartbeats held until every
-        #: earlier index has printed, so parallel completion order can
-        #: never leak into the output bytes.
-        self._pending: Dict[int, Heartbeat] = {}
-        self._next_index = 0
 
     # ------------------------------------------------------------------
     # The callback
@@ -115,7 +105,11 @@ class ProgressRenderer:
         if self._tty:
             self._render_line()
         elif beat.phase == PHASE_DONE:
-            self._emit_ordered(beat)
+            self._stream.write(
+                f"run {beat.index + 1}/{beat.total} done {beat.label} "
+                f"events={beat.events_folded} faults={beat.faults_fired} "
+                f"violations={beat.violations}\n")
+            self._stream.flush()
 
     def _render_line(self) -> None:
         elapsed = self._clock() - self._started
@@ -133,18 +127,6 @@ class ProgressRenderer:
         self._stream.write("\r\x1b[2K" + line)
         self._stream.flush()
         self._rendered = True
-
-    def _emit_ordered(self, beat: Heartbeat) -> None:
-        self._pending[beat.index] = beat
-        while self._next_index in self._pending:
-            pending = self._pending.pop(self._next_index)
-            self._stream.write(
-                f"run {pending.index + 1}/{pending.total} done "
-                f"{pending.label} events={pending.events_folded} "
-                f"faults={pending.faults_fired} "
-                f"violations={pending.violations}\n")
-            self._next_index += 1
-        self._stream.flush()
 
     def close(self) -> None:
         """Finish the display (newline after the in-place TTY line)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.capture.sniffer import Sniffer
 from repro.capture.trace import Trace
@@ -47,7 +47,7 @@ from repro.players.stats import PlayerStats
 from repro.servers.realserver import RealServer
 from repro.servers.scaling import MediaScalingPolicy
 from repro.servers.wms import WindowsMediaServer
-from repro.telemetry.core import Telemetry
+from repro.telemetry.core import Telemetry, TelemetrySnapshot
 from repro.telemetry.streaming import StreamingSink, StreamingSummary
 from repro.tools.ping import PingReport, run_ping
 from repro.tools.stability import StabilityVerdict, verify_stability
@@ -118,7 +118,13 @@ class PairRunResult:
 
     @property
     def label(self) -> str:
-        return f"set{self.set_number}-{self.band.short}"
+        return run_label(self.set_number, self.band)
+
+
+def run_label(set_number: int, band: RateBand) -> str:
+    """The ``set<N>-<band>`` label a pair run carries everywhere: its
+    ``run=`` telemetry context, heartbeats, and validator reports."""
+    return f"set{set_number}-{band.short}"
 
 
 @dataclass
@@ -372,7 +378,7 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
                                  tracert_report, tracert_after)
 
     if validate is not None:
-        validate.check_run(run=f"set{clip_set.number}-{pair.band.short}",
+        validate.check_run(run=run_label(clip_set.number, pair.band),
                            seed=seed)
 
     return PairRunResult(
@@ -485,9 +491,9 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
             ``telemetry`` facade; the merged summary also lands on
             ``StudyResults.streaming``.
         progress: optional heartbeat consumer (see
-            :mod:`repro.experiments.progress`); called with one
-            :class:`Heartbeat` at each pair run's start and end, from
-            the sequential loop or relayed from pool workers.
+            :mod:`repro.experiments.progress`); called in this process
+            with one :class:`Heartbeat` as each pair run starts and one
+            as it ends, in library order, whichever executor ran it.
 
     Raises:
         ExperimentError: before any pair run, for a feature pair the
@@ -496,65 +502,122 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
     """
     jobs = resolve_jobs(jobs)
     spec.check(validate=validate, jobs=jobs, telemetry=telemetry)
-    library = spec.clip_library()
+    spec = replace(spec, library=spec.clip_library())
     if stream is None and spec.stream:
         stream = StreamingSummary()
-    pairs = library.all_pairs()
+    runs = len(spec.library.all_pairs())
     execution = "sequential"
-    if jobs > 1 and len(pairs) > 1:
-        if len(pairs) >= min_parallel_runs:
+    if jobs > 1 and runs > 1:
+        if runs >= min_parallel_runs:
             from repro.experiments.parallel import run_study_parallel
 
-            results = run_study_parallel(replace(spec, library=library),
-                                         telemetry=telemetry, jobs=jobs,
+            results = run_study_parallel(spec, telemetry=telemetry, jobs=jobs,
                                          stream=stream, progress=progress)
             results.execution = f"parallel jobs={jobs}"
             return results
         execution = (f"sequential (auto-downgraded from jobs={jobs}: "
-                     f"{len(pairs)} runs < {min_parallel_runs})")
-    results = StudyResults(telemetry=telemetry, execution=execution)
-    # A streamed sweep needs a live bus even when the caller brought no
-    # facade: an internal one with no sinks stays inactive except while
-    # a per-run streaming sink is attached.
+                     f"{runs} runs < {min_parallel_runs})")
+    results = collect_runs(
+        spec,
+        lambda index: run_index(spec, index, telemetry, stream, validate),
+        telemetry=telemetry, stream=stream, progress=progress,
+        validate=validate)
+    results.execution = execution
+    return results
+
+
+#: One pair run's outcome: its result, the telemetry snapshot a pool
+#: worker ships home (``None`` in-process, where the caller's facade
+#: saw the run live), and its per-run streaming summary (``None`` when
+#: the sweep does not stream), shipped pre-reduced so the parent merges
+#: O(1) state instead of re-folding event rows.
+RunOutcome = Tuple[PairRunResult, Optional[TelemetrySnapshot],
+                   Optional[StreamingSummary]]
+
+
+def run_index(spec: RunSpec, index: int,
+              telemetry: Optional[Telemetry] = None,
+              stream: Optional[StreamingSummary] = None,
+              validate: Optional["RunValidator"] = None) -> RunOutcome:
+    """Pair run ``index`` of the sweep ``spec`` declares (its library
+    resolved): the one per-run body both executors share.
+
+    The sequential loop calls it in-process with the caller's facade;
+    pool workers call it with their mirrored facade and add its
+    snapshot.  The run's conditions derive from ``seed + index`` (see
+    :func:`study_conditions`), so a worker needs nothing but the index.
+
+    Args:
+        telemetry: the facade to run under, scoped to this run with a
+            ``run=<label>`` context.
+        stream: the study's summary template.  The run folds into a
+            fresh ``stream.spawn()`` through a per-run bus sink, on an
+            internal facade with no sinks when ``telemetry`` is None;
+            the run's span slice folds in once it is done.
+    """
+    clip_set, pair = spec.library.all_pairs()[index]
+    if telemetry is not None:
+        telemetry.set_context(run=run_label(clip_set.number, pair.band))
     facade = telemetry
-    if stream is not None and facade is None:
-        facade = Telemetry(sinks=[])
-    total = len(pairs)
-    for index, (clip_set, pair) in enumerate(pairs):
-        conditions = study_conditions(spec.seed, index,
-                                      loss_probability=spec.loss_probability)
-        label = f"set{clip_set.number}-{pair.band.short}"
-        if telemetry is not None:
-            telemetry.set_context(run=label)
-        if progress is not None:
-            progress(Heartbeat(index=index, total=total, label=label,
-                               phase=PHASE_START))
-        per_run = None
-        sink = None
-        span_base = 0
-        if stream is not None:
-            per_run = stream.spawn()
-            sink = StreamingSink(per_run)
-            if facade.spans is not None:
-                span_base = len(facade.spans.spans)
-            facade.bus.attach(sink)
-        try:
-            results.runs.append(run_pair_experiment(
-                clip_set, pair, seed=spec.seed + index, conditions=conditions,
-                telemetry=facade, scenario=spec.scenario, validate=validate,
-                cc=spec.cc, abr=spec.abr, repair=spec.repair,
-                fast_path=spec.fast_path))
-        finally:
-            if sink is not None:
-                facade.bus.detach(sink)
+    per_run = None
+    if stream is not None:
+        if facade is None:
+            # Its bus stays inactive except while the per-run sink is
+            # attached.
+            facade = Telemetry(sinks=[])
+        per_run = stream.spawn()
+        sink = StreamingSink(per_run)
+        span_base = len(facade.spans.spans) if facade.spans is not None else 0
+        facade.bus.attach(sink)
+    try:
+        result = run_pair_experiment(
+            clip_set, pair, seed=spec.seed + index,
+            conditions=study_conditions(
+                spec.seed, index, loss_probability=spec.loss_probability),
+            telemetry=facade, scenario=spec.scenario, validate=validate,
+            cc=spec.cc, abr=spec.abr, repair=spec.repair,
+            fast_path=spec.fast_path)
+    finally:
         if per_run is not None:
-            if facade.spans is not None:
-                per_run.fold_spans(facade.spans.spans[span_base:])
-            stream.merge(per_run)
+            facade.bus.detach(sink)
+    if per_run is not None and facade.spans is not None:
+        per_run.fold_spans(facade.spans.spans[span_base:])
+    return result, None, per_run
+
+
+def collect_runs(spec: RunSpec, outcome: Callable[[int], RunOutcome], *,
+                 telemetry: Optional[Telemetry] = None,
+                 stream: Optional[StreamingSummary] = None,
+                 progress: Optional[ProgressCallback] = None,
+                 validate: Optional["RunValidator"] = None
+                 ) -> StudyResults:
+    """Gather a sweep's outcomes in library order, from either executor.
+
+    ``outcome(i)`` runs pair ``i`` in-process or waits for its pool
+    future.  Each snapshot merges into ``telemetry`` and each per-run
+    summary into ``stream``, and the START(i) and DONE(i) heartbeats
+    fire here around each outcome, so ``progress`` sees the identical
+    sequence whichever executor ran the sweep.
+    """
+    pairs = spec.library.all_pairs()
+    results = StudyResults(telemetry=telemetry)
+    for index, (clip_set, pair) in enumerate(pairs):
+        start = Heartbeat(index=index, total=len(pairs),
+                          label=run_label(clip_set.number, pair.band),
+                          phase=PHASE_START)
         if progress is not None:
-            progress(Heartbeat(
-                index=index, total=total, label=label, phase=PHASE_DONE,
-                sim_time_frac=1.0,
+            progress(start)
+        result, snapshot, per_run = outcome(index)
+        if snapshot is not None:
+            offset = telemetry.merge(snapshot)
+            if offset:
+                result.trace.rebase_spans(offset)
+        if per_run is not None:
+            stream.merge(per_run)
+        results.runs.append(result)
+        if progress is not None:
+            progress(replace(
+                start, phase=PHASE_DONE,
                 events_folded=per_run.events_folded if per_run else 0,
                 faults_fired=(per_run.rollup.faults_fired
                               if per_run else 0),

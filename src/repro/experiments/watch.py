@@ -68,17 +68,17 @@ class WatchRule:
             raise AnalysisError(
                 f"unknown watch metric {self.metric!r}; choose from "
                 f"{', '.join(WATCHABLE_METRICS)}")
-        if self.z_threshold <= 0:
+        if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
             raise AnalysisError(
-                f"z-threshold must be > 0, got {self.z_threshold}")
+                f"z-threshold must be > 0 and finite, got {self.z_threshold}")
         if self.window < 2:
             raise AnalysisError(f"window must be >= 2, got {self.window}")
         if self.min_baseline < 2:
             raise AnalysisError(
                 f"min-baseline must be >= 2, got {self.min_baseline}")
-        if self.min_delta < 0:
+        if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
             raise AnalysisError(
-                f"min-delta must be >= 0, got {self.min_delta}")
+                f"min-delta must be >= 0 and finite, got {self.min_delta}")
 
     @property
     def direction(self) -> str:

@@ -9,7 +9,7 @@ the interleaving batches of Figure 12 — so this client wires in the
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import AnalysisError
 from repro.media.clip import PlayerFamily
@@ -21,19 +21,6 @@ class MediaTracker(StreamingClient):
 
     family = PlayerFamily.WMP
     uses_interleaving = True
-
-    def layer_receipt_series(self) -> List[Tuple[float, float]]:
-        """Per-packet (network receipt time, application receipt time).
-
-        The data behind Figure 12: the network column steps every
-        ~100 ms while the application column jumps once per second.
-
-        Raises:
-            AnalysisError: if no media has been received.
-        """
-        if self.stats is None or not self.stats.receipts:
-            raise AnalysisError("no packets received yet")
-        return [(r.network_time, r.app_time) for r in self.stats.receipts]
 
     def application_batch_sizes(self) -> List[int]:
         """Packets per application release instant (~10 in the paper)."""

@@ -120,11 +120,6 @@ class QualityController:
         self._telemetry = telemetry
         self._label = label
 
-    @property
-    def current_level(self) -> float:
-        """The rate scale the player currently wants."""
-        return self.levels[self.level_index]
-
     def observe(self, now: float, loss_fraction: float,
                 rebuffering: bool = False) -> None:
         """Feed one feedback interval's reception quality."""

@@ -73,7 +73,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
 )
 from repro.telemetry.sinks import (
-    FilterSink,
     JsonlSink,
     MemorySink,
     NullSink,
@@ -116,7 +115,6 @@ __all__ = [
     "Counter",
     "ExactSumHistogram",
     "FRAGMENT_EMITTED",
-    "FilterSink",
     "Gauge",
     "Histogram",
     "HopTiming",

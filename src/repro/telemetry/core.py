@@ -44,11 +44,6 @@ class TelemetrySnapshot:
     registry: MetricsRegistry
     events: List[Tuple[str, float, Tuple]] = field(default_factory=list)
     spans: List[Tuple] = field(default_factory=list)
-    #: The worker's online-folded per-run summary (see
-    #: :mod:`repro.telemetry.streaming`), shipped pre-reduced so the
-    #: parent merges O(1) state instead of re-folding the event rows.
-    #: ``None`` when the study did not request streaming aggregation.
-    streaming: Optional[object] = None
 
 
 class Telemetry:
@@ -126,10 +121,6 @@ class Telemetry:
 
     def histogram(self, name: str, bounds=None, **labels: object):
         return self.registry.histogram(name, bounds=bounds, **labels)
-
-    def sample_gauge(self, name: str, value: float, **labels: object) -> None:
-        """Record a gauge sample at the current simulated time."""
-        self.registry.gauge(name, **labels).set(value, self._clock())
 
     # ------------------------------------------------------------------
     # Cross-process snapshot / merge

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 from collections import deque
-from typing import Callable, Deque, List, Optional, Union
+from typing import Deque, Optional, Union
 
 from repro.telemetry.events import TraceEvent
 
@@ -53,9 +53,6 @@ class MemorySink:
         if len(self.events) == self.events.maxlen:
             self.dropped += 1
         self.events.append(event)
-
-    def of_type(self, event_type: str) -> List[TraceEvent]:
-        return [event for event in self.events if event.type == event_type]
 
     def __len__(self) -> int:
         return len(self.events)
@@ -95,31 +92,3 @@ class JsonlSink:
         self._stream.flush()
         if self._owns_stream:
             self._stream.close()
-
-
-class FilterSink:
-    """Wraps another sink, forwarding only matching event types."""
-
-    def __init__(self, inner: object,
-                 types: Optional[List[str]] = None,
-                 predicate: Optional[Callable[[TraceEvent], bool]] = None,
-                 ) -> None:
-        self._inner = inner
-        self._types = frozenset(types) if types is not None else None
-        self._predicate = predicate
-
-    @property
-    def active(self) -> bool:
-        return getattr(self._inner, "active", True)
-
-    def write(self, event: TraceEvent) -> None:
-        if self._types is not None and event.type not in self._types:
-            return
-        if self._predicate is not None and not self._predicate(event):
-            return
-        self._inner.write(event)
-
-    def close(self) -> None:
-        close = getattr(self._inner, "close", None)
-        if close is not None:
-            close()

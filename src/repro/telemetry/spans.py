@@ -345,6 +345,3 @@ class SpanRecorder:
 
     def children(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent == span.id]
-
-    def trace_spans(self, trace: int) -> List[Span]:
-        return [span for span in self.spans if span.trace == trace]

@@ -287,6 +287,8 @@ class TestBadArgumentExitCodes:
         (["scorecard", "--modern", "--jobs", "-1"], "--jobs"),
         (["scorecard", "--modern", "--transports", "2002,quic"],
          "unknown transport"),
+        (["telemetry", "--top", "0"], "--top"),
+        (["spans", "--top", "0"], "--top"),
     ])
     def test_bad_argument_exits_two(self, argv, needle, capsys):
         assert main(argv) == 2
@@ -354,6 +356,22 @@ class TestStudyStreamingOptions:
                     "delivered_rate_kbps", "events_folded"):
             assert key in records[0]
 
+    def test_pool_writes_the_sequential_records(self, tmp_path, capsys):
+        # Both executors send heartbeats from the parent in library
+        # order, so the record tap and the done-lines match byte for
+        # byte.
+        outputs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"runs-{jobs}.jsonl"
+            assert main(["study", "--scale", "0.1", "--seed", "3",
+                         "--jobs", jobs, "--progress",
+                         "--stream-jsonl", str(path)]) == 0
+            lines = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("run ")]
+            outputs.append((path.read_bytes(), lines))
+        assert len(outputs[0][1]) == 13
+        assert outputs[1] == outputs[0]
+
     def test_unwritable_stream_path_exits_two(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "runs.jsonl"
         assert main(["study", "--stream-jsonl", str(target)]) == 2
@@ -419,6 +437,11 @@ class TestWatchCommand:
         (["--min-delta", "-0.1"], "min-delta"),
         (["--metric", " , "], "--metric"),
         (["--idle-timeout", "-1"], "--idle-timeout"),
+        (["--z", "nan"], "z-threshold"),
+        (["--z", "inf"], "z-threshold"),
+        (["--min-delta", "nan"], "min-delta"),
+        (["--min-delta", "inf"], "min-delta"),
+        (["--idle-timeout", "nan"], "--idle-timeout"),
     ])
     def test_bad_knobs_exit_two(self, tmp_path, argv, needle, capsys):
         path = self._write(tmp_path, [0.01])

@@ -24,6 +24,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.conditions import sample_conditions
 from repro.experiments.datasets import build_table1_library
+from repro.experiments.progress import PHASE_DONE, PHASE_START
 from repro.experiments.runner import (
     resolve_jobs,
     run_study,
@@ -41,6 +42,7 @@ from repro.telemetry import (
     to_json,
 )
 from repro.telemetry.sinks import encode_event
+from repro.telemetry.streaming import StreamingSummary
 
 SEED = 424
 SCALE = 0.04
@@ -181,6 +183,29 @@ def disk_cache(tmp_path, monkeypatch):
     clear_cache()
     yield tmp_path
     clear_cache()
+
+
+class TestHeartbeats:
+    """The parent sends every heartbeat, whichever executor ran the run."""
+
+    @staticmethod
+    def beats(jobs):
+        beats = []
+        run_study(one_set_library(6), seed=SEED, jobs=jobs,
+                  min_parallel_runs=0, stream=StreamingSummary(),
+                  progress=beats.append)
+        return beats
+
+    def test_pool_sends_the_sequential_sequence(self):
+        sequential, pooled = self.beats(jobs=1), self.beats(jobs=2)
+        # START(i) then DONE(i), in library order, for both executors.
+        assert [(beat.index, beat.phase) for beat in sequential] == [
+            (index, phase) for index in range(3)
+            for phase in (PHASE_START, PHASE_DONE)]
+        assert all(beat.rollup is not None for beat in sequential
+                   if beat.phase == PHASE_DONE)
+        # Equal beats: labels, events folded and roll-ups included.
+        assert pooled == sequential
 
 
 class TestDiskCache:

@@ -28,6 +28,8 @@ class TestWatchRule:
     @pytest.mark.parametrize("kwargs", [
         dict(z_threshold=0.0), dict(z_threshold=-1.0),
         dict(window=1), dict(min_baseline=1), dict(min_delta=-0.1),
+        dict(z_threshold=float("nan")), dict(z_threshold=float("inf")),
+        dict(min_delta=float("nan")), dict(min_delta=float("inf")),
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(AnalysisError):
