@@ -65,7 +65,7 @@ from repro._version import __version__
 _SPEC_FLAGS = {
     "jobs": (("--jobs",), dict(
         type=int, default=1,
-        help="worker processes for the sweep (0 = one per CPU; default "
+        help="worker processes (0 = one per usable CPU; default "
              "%(default)s); results are identical to a sequential run's")),
     "set": (("--set",), dict(
         type=int, default=None, dest="set_number",

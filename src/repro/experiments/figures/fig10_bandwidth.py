@@ -9,12 +9,22 @@ buffers at the same rate as it plays back the clip."
 from __future__ import annotations
 
 from repro.analysis.buffering import detect_buffering_phase
-from repro.errors import ExperimentError
+from repro.errors import AnalysisError, ExperimentError
 from repro.experiments.figures.base import FigureResult
 from repro.experiments.runner import StudyResults
 from repro.media.library import RateBand
 
 SET_NUMBER = 1
+
+
+def _burst(series, timed: bool) -> str:
+    """One clip's burst finding, or why its series has none."""
+    try:
+        analysis = detect_buffering_phase(series)
+    except AnalysisError as exc:
+        return f"burst n/a: {exc}"
+    length = f" for {analysis.buffering_duration:.0f}s" if timed else ""
+    return f"burst {analysis.ratio:.1f}x{length}"
 
 
 def generate(study: StudyResults) -> FigureResult:
@@ -36,14 +46,11 @@ def generate(study: StudyResults) -> FigureResult:
         wmp_label = run.wmp_clip.label()
         result.series[real_label] = real_series
         result.series[wmp_label] = wmp_series
-        real_analysis = detect_buffering_phase(real_series)
-        wmp_analysis = detect_buffering_phase(wmp_series)
         findings.append(
-            f"{real_label}: burst {real_analysis.ratio:.1f}x for "
-            f"{real_analysis.buffering_duration:.0f}s, stream "
+            f"{real_label}: {_burst(real_series, timed=True)}, stream "
             f"{run.real_stats.streaming_duration:.0f}s")
         findings.append(
-            f"{wmp_label}: burst {wmp_analysis.ratio:.1f}x, stream "
+            f"{wmp_label}: {_burst(wmp_series, timed=False)}, stream "
             f"{run.wmp_stats.streaming_duration:.0f}s of "
             f"{run.wmp_clip.duration:.0f}s clip")
         findings.append(

@@ -52,6 +52,12 @@ def generate(study: StudyResults) -> FigureResult:
     batch_sizes = [sum(1 for r in window if r.app_time == instant)
                    for instant in app_instants]
     interior = batch_sizes[1:-1] if len(batch_sizes) > 2 else batch_sizes
+    if len(app_instants) < 2:
+        # A short clip's window: no release interval to average.
+        result.findings.append(
+            f"window too sparse to average: {len(window)} receipts in "
+            f"fewer than two application batches")
+        return result
     result.findings.append(
         f"network receipt interval: "
         f"{statistics.fmean(network_gaps) * 1000:.0f} ms (paper: 100 ms)")

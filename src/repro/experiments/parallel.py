@@ -27,7 +27,11 @@ approximate:
   counters add into disjoint ``run``-labelled keys, events replay
   through the parent bus and take its sequence numbers, and span ids
   rebase into the contiguous blocks a shared recorder would have
-  assigned (the runs' capture records are rebased to match).
+  assigned (the runs' capture records are rebased to match).  When
+  the spec streams, each worker also builds its own per-run
+  :class:`~repro.telemetry.streaming.StreamingSummary`: every summary
+  has one fixed shape, so the parent needs to send no template and
+  merges what comes home as it is.
 * **The profiler stays home.**  Its numbers are wall-clock and
   per-process; a parallel study simply does not profile workers.
 
@@ -67,7 +71,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import RunSpec
 from repro.telemetry.core import Telemetry
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sinks import MemorySink, NullSink
 from repro.telemetry.spans import SpanRecorder
 from repro.telemetry.streaming import StreamingSummary
@@ -86,11 +89,6 @@ class _WorkerSpec:
     metrics: bool
     events: bool
     spans: bool
-    series_limit: int
-    #: Streaming-summary template: workers never fold into it, they
-    #: ``spawn()`` a fresh per-run summary with its configuration and
-    #: ship that home beside the snapshot.
-    stream: Optional[StreamingSummary] = None
 
 
 def _worker_telemetry(spec: _WorkerSpec) -> Optional[Telemetry]:
@@ -104,8 +102,7 @@ def _worker_telemetry(spec: _WorkerSpec) -> Optional[Telemetry]:
     if not spec.metrics:
         return None
     sink = MemorySink(capacity=None) if spec.events else NullSink()
-    return Telemetry(registry=MetricsRegistry(spec.series_limit),
-                     sinks=[sink],
+    return Telemetry(sinks=[sink],
                      spans=SpanRecorder() if spec.spans else None)
 
 
@@ -118,7 +115,7 @@ def _run_index(spec: _WorkerSpec, index: int) -> RunOutcome:
     different configurations back to back.
     """
     telemetry = _worker_telemetry(spec)
-    result, _, per_run = run_index(spec.run, index, telemetry, spec.stream)
+    result, _, per_run = run_index(spec.run, index, telemetry)
     if telemetry is None:
         return result, None, per_run
     telemetry.clear_context()
@@ -193,10 +190,7 @@ def run_study_parallel(spec: RunSpec, telemetry: Optional[Telemetry],
     worker_spec = _WorkerSpec(
         run=spec, metrics=telemetry is not None,
         events=telemetry is not None and telemetry.bus.active,
-        spans=telemetry is not None and telemetry.spans is not None,
-        series_limit=(telemetry.registry._series_limit
-                      if telemetry is not None else 0),
-        stream=stream)
+        spans=telemetry is not None and telemetry.spans is not None)
     try:
         pool = _ensure_pool(min(jobs, len(pairs)))
         # Submission order is library order, and the futures are

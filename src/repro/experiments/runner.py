@@ -394,7 +394,8 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
 
 
 def resolve_jobs(jobs: int) -> int:
-    """Normalize a ``jobs`` request: 0 means one worker per CPU.
+    """Normalize a ``jobs`` request: 0 means one worker per usable CPU
+    (the affinity mask, where the platform reports one).
 
     Raises:
         ExperimentError: if ``jobs`` is negative.
@@ -402,7 +403,8 @@ def resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise ExperimentError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
-        return os.cpu_count() or 1
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
     return jobs
 
 
@@ -470,7 +472,7 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
         jobs: worker processes to fan the pair runs across (each run
             is an independent simulation fully determined by ``seed +
             index``).  1 (the default) runs in-process; 0 means one
-            worker per CPU.  Results are identical to sequential
+            worker per usable CPU.  Results are identical to sequential
             execution — runs merge back in library order, and worker
             telemetry folds into the shared facade post-hoc (the
             facade's profiler, being wall-clock, stays parent-only).
@@ -483,8 +485,8 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
             ``StudyResults.execution``.  Pass 0 to force the pool.
         stream: the :class:`~repro.telemetry.streaming.StreamingSummary`
             to fold the sweep into online (a fresh one when omitted and
-            ``spec.stream`` is set).  Each pair run folds into a fresh
-            ``stream.spawn()`` via a per-run bus sink (no event
+            ``spec.stream`` is set; giving one sets it).  Each pair run
+            folds into a fresh summary via a per-run bus sink (no event
             buffering), and the per-run summaries merge into ``stream``
             in library order — byte-identical across sequential,
             parallel, and cached execution.  Works with or without a
@@ -502,7 +504,8 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
     """
     jobs = resolve_jobs(jobs)
     spec.check(validate=validate, jobs=jobs, telemetry=telemetry)
-    spec = replace(spec, library=spec.clip_library())
+    spec = replace(spec, library=spec.clip_library(),
+                   stream=spec.stream or stream is not None)
     if stream is None and spec.stream:
         stream = StreamingSummary()
     runs = len(spec.library.all_pairs())
@@ -519,7 +522,7 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
                      f"{runs} runs < {min_parallel_runs})")
     results = collect_runs(
         spec,
-        lambda index: run_index(spec, index, telemetry, stream, validate),
+        lambda index: run_index(spec, index, telemetry, validate),
         telemetry=telemetry, stream=stream, progress=progress,
         validate=validate)
     results.execution = execution
@@ -537,7 +540,6 @@ RunOutcome = Tuple[PairRunResult, Optional[TelemetrySnapshot],
 
 def run_index(spec: RunSpec, index: int,
               telemetry: Optional[Telemetry] = None,
-              stream: Optional[StreamingSummary] = None,
               validate: Optional["RunValidator"] = None) -> RunOutcome:
     """Pair run ``index`` of the sweep ``spec`` declares (its library
     resolved): the one per-run body both executors share.
@@ -546,26 +548,26 @@ def run_index(spec: RunSpec, index: int,
     pool workers call it with their mirrored facade and add its
     snapshot.  The run's conditions derive from ``seed + index`` (see
     :func:`study_conditions`), so a worker needs nothing but the index.
+    When ``spec.stream`` is set, the run folds into a fresh
+    :class:`StreamingSummary` through a per-run bus sink, on an
+    internal facade with no sinks when ``telemetry`` is None; the
+    run's span slice folds in once it is done.
 
     Args:
         telemetry: the facade to run under, scoped to this run with a
             ``run=<label>`` context.
-        stream: the study's summary template.  The run folds into a
-            fresh ``stream.spawn()`` through a per-run bus sink, on an
-            internal facade with no sinks when ``telemetry`` is None;
-            the run's span slice folds in once it is done.
     """
     clip_set, pair = spec.library.all_pairs()[index]
     if telemetry is not None:
         telemetry.set_context(run=run_label(clip_set.number, pair.band))
     facade = telemetry
     per_run = None
-    if stream is not None:
+    if spec.stream:
         if facade is None:
             # Its bus stays inactive except while the per-run sink is
             # attached.
             facade = Telemetry(sinks=[])
-        per_run = stream.spawn()
+        per_run = StreamingSummary()
         sink = StreamingSink(per_run)
         span_base = len(facade.spans.spans) if facade.spans is not None else 0
         facade.bus.attach(sink)
@@ -616,14 +618,14 @@ def collect_runs(spec: RunSpec, outcome: Callable[[int], RunOutcome], *,
             stream.merge(per_run)
         results.runs.append(result)
         if progress is not None:
+            rollup = per_run.rollup.as_dict() if per_run else None
             progress(replace(
                 start, phase=PHASE_DONE,
                 events_folded=per_run.events_folded if per_run else 0,
-                faults_fired=(per_run.rollup.faults_fired
-                              if per_run else 0),
+                faults_fired=rollup["faults_fired"] if rollup else 0,
                 violations=(len(validate.violations)
                             if validate is not None else 0),
-                rollup=per_run.rollup.as_dict() if per_run else None))
+                rollup=rollup))
     if telemetry is not None:
         telemetry.clear_context()
     results.streaming = stream

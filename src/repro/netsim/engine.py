@@ -40,32 +40,25 @@ class Event:
     the event loop constructs these millions of times per study.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "consumed",
-                 "owner")
+    __slots__ = ("time", "callback", "args", "cancelled", "consumed")
 
     def __init__(self, time: float, callback: Callable[..., None],
-                 args: tuple = (),
-                 owner: Optional["Simulator"] = None) -> None:
+                 args: tuple = ()) -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
         #: Set once the event has been popped (fired or discarded); a
-        #: cancel after that must not disturb the pending counter.
+        #: cancel after that is a no-op.
         self.consumed = False
-        #: Owning simulator, for live pending-event accounting.
-        self.owner = owner
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Event(time={self.time!r}, cancelled={self.cancelled!r})"
 
     def cancel(self) -> None:
         """Prevent the event from firing when its time comes."""
-        if self.cancelled or self.consumed:
-            return
-        self.cancelled = True
-        if self.owner is not None:
-            self.owner._pending -= 1
+        if not self.consumed:
+            self.cancelled = True
 
 
 class Simulator:
@@ -111,7 +104,6 @@ class Simulator:
         self._sequence = 0
         self._running = False
         self._event_count = 0
-        self._pending = 0
         #: Bumped by every link mutator (up/down, bandwidth, delay,
         #: loss); the flow-level director revalidates its cached
         #: per-path static profiles when this changes.
@@ -145,11 +137,10 @@ class Simulator:
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
-        event = Event(time, callback, args, self)
+        event = Event(time, callback, args)
         sequence = self._sequence
         self._sequence = sequence + 1
         _heappush(self._heap, (time, sequence, event))
-        self._pending += 1
         return event
 
     def reserve_sequence(self) -> int:
@@ -178,9 +169,8 @@ class Simulator:
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
-        event = Event(time, callback, args, self)
+        event = Event(time, callback, args)
         _heappush(self._heap, (time, sequence, event))
-        self._pending += 1
         return event
 
     def schedule_in(self, delay: float, callback: Callable[..., None],
@@ -237,7 +227,6 @@ class Simulator:
                     break
                 pop(heap)
                 event.consumed = True
-                self._pending -= 1
                 self.now = time
                 if profiler is not None:
                     profiler.run_event(event.callback, event.args,
@@ -263,7 +252,6 @@ class Simulator:
             event.consumed = True
             if event.cancelled:
                 continue
-            self._pending -= 1
             self.now = time
             event.callback(*event.args)
             self._event_count += 1
@@ -274,10 +262,11 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-cancelled events.
 
-        Maintained as a live counter (push/pop/cancel each adjust it),
-        so reading it is O(1) rather than a scan of the heap.
+        Counted from the heap when read: an O(heap) scan, which its
+        readers (the run-end invariant sweep, tests) can afford and the
+        event loop then need not pay for on every schedule and pop.
         """
-        return self._pending
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def executed_events(self) -> int:

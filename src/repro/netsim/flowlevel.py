@@ -79,8 +79,6 @@ class FlowLevelConfig:
     """Opt-in knobs for the fast path (pure data, picklable).
 
     Attributes:
-        guard_seconds: extra padding applied to both ends of every
-            blackout window; 0.0 trusts the registered windows exactly.
         strict: when True, refuse any train that would cross a
             direction with real packets serializing or queued, keeping
             every accepted train *provably exact* (bit-identical to
@@ -95,13 +93,11 @@ class FlowLevelConfig:
             directions for its whole flight).
     """
 
-    guard_seconds: float = 0.0
     strict: bool = False
 
     def fingerprint(self) -> str:
         """Stable key material for the study cache."""
-        return (f"flowlevel-v1:guard={self.guard_seconds!r}"
-                f":strict={int(self.strict)}")
+        return f"flowlevel-v1:strict={int(self.strict)}"
 
 
 @dataclass(frozen=True)
@@ -203,7 +199,6 @@ class FlowLevelDirector:
             raise SimulationError(SPANS_REFUSAL)
         self.sim = sim
         self.config = config
-        self.enabled = True
         #: Closed blackout intervals [(start, end)]; ``end`` may be inf.
         self._blackouts: List[Tuple[float, float]] = []
         self._path_cache: Dict[Tuple[int, object], Optional[tuple]] = {}
@@ -231,8 +226,7 @@ class FlowLevelDirector:
         sources and congestion-control activation; ``end`` may be
         ``float('inf')`` for an open window.
         """
-        guard = self.config.guard_seconds
-        self._blackouts.append((start - guard, end + guard))
+        self._blackouts.append((start, end))
         # Route re-convergence under faults can change next hops for
         # good; cached paths are only trusted on fault-free runs.
         self._path_cache_enabled = False
@@ -240,12 +234,11 @@ class FlowLevelDirector:
 
     def close_blackout(self, start: float, end: float) -> None:
         """Close a previously-open window registered as ``(start, inf)``."""
-        guard = self.config.guard_seconds
         try:
-            index = self._blackouts.index((start - guard, float("inf")))
+            index = self._blackouts.index((start, float("inf")))
         except ValueError:
             return
-        self._blackouts[index] = (start - guard, end + guard)
+        self._blackouts[index] = (start, end)
 
     def _blacked_out(self, start: float, end: float) -> bool:
         for w_start, w_end in self._blackouts:
@@ -333,8 +326,6 @@ class FlowLevelDirector:
         delivery event per packet is scheduled at its computed client
         arrival; the caller must then *not* emit the packets.
         """
-        if not self.enabled:
-            return False
         first = packets[0]
         if first.ip.protocol is not IpProtocol.UDP:
             return self._refuse(packets, REASON_PROTOCOL)

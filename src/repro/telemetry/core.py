@@ -50,11 +50,10 @@ class Telemetry:
     """Aggregate handle threaded through the instrumented layers.
 
     Args:
-        registry: metrics home; a fresh one by default.
-        bus: trace-event bus; defaults to a bus with one
-            :class:`~repro.telemetry.sinks.MemorySink` ring attached.
         profiler: optional event-loop profiler; when present, every
             ``Simulator.run`` on a bound simulator is profiled.
+        sinks: the trace-event bus's sinks; one
+            :class:`~repro.telemetry.sinks.MemorySink` ring by default.
         spans: optional :class:`~repro.telemetry.spans.SpanRecorder`;
             when present, pacers/IP/links/queues/players record the
             per-ADU provenance forest.  Must be installed before any
@@ -62,19 +61,12 @@ class Telemetry:
             of the facade).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 bus: Optional[TraceEventBus] = None,
-                 profiler: Optional[SimProfiler] = None,
+    def __init__(self, profiler: Optional[SimProfiler] = None,
                  sinks: Optional[Iterable[object]] = None,
                  spans: Optional[SpanRecorder] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        if bus is None:
-            bus = TraceEventBus(sinks=sinks if sinks is not None
-                                else [MemorySink()])
-        elif sinks:
-            for sink in sinks:
-                bus.attach(sink)
-        self.bus = bus
+        self.registry = MetricsRegistry()
+        self.bus = TraceEventBus(sinks=sinks if sinks is not None
+                                 else [MemorySink()])
         self.profiler = profiler
         self.spans = spans
         self._clock = lambda: 0.0

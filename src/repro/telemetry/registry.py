@@ -60,14 +60,15 @@ class Gauge:
 
     ``set`` records ``(sim_time, value)`` samples so exporters can
     reconstruct e.g. a per-hop queue-depth timeline; the series is a
-    bounded deque, keeping the most recent ``series_limit`` samples.
+    bounded deque of the most recent :data:`DEFAULT_SERIES_LIMIT` samples.
     """
 
     __slots__ = ("value", "series")
 
-    def __init__(self, series_limit: int = DEFAULT_SERIES_LIMIT) -> None:
+    def __init__(self) -> None:
         self.value = 0.0
-        self.series: Deque[Tuple[float, float]] = deque(maxlen=series_limit)
+        self.series: Deque[Tuple[float, float]] = deque(
+            maxlen=DEFAULT_SERIES_LIMIT)
 
     def set(self, value: float, time: float) -> None:
         self.value = value
@@ -165,11 +166,10 @@ class MetricsRegistry:
     shared registry to the pair run currently executing.
     """
 
-    def __init__(self, series_limit: int = DEFAULT_SERIES_LIMIT) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
-        self._series_limit = series_limit
         self._context: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -203,7 +203,7 @@ class MetricsRegistry:
         key = self._key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
-            instrument = self._gauges[key] = Gauge(self._series_limit)
+            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def histogram(self, name: str, bounds: Optional[Sequence[float]] = None,

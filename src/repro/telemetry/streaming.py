@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.telemetry.events import (
@@ -97,6 +98,14 @@ _FP_SCALE = 10 ** FLOAT_DECIMALS
 def _fp(value: float) -> int:
     """Fixed-point encoding: integer sums are exactly associative."""
     return int(round(value * _FP_SCALE))
+
+
+def _extreme(pick, mine, other):
+    """``pick`` (min or max) of two optional extremes; None means
+    nothing has folded on that side yet."""
+    if mine is None or other is None:
+        return other if mine is None else mine
+    return pick(mine, other)
 
 
 class ExactSumHistogram(Histogram):
@@ -247,134 +256,96 @@ class _ReverseStr:
         return self.value > other.value
 
 
+#: The recovery signals the roll-up counts, in export order; each one's
+#: ``recoveries`` key is its event type.
+_RECOVERY_TYPES: Tuple[str, ...] = (
+    ROUTE_RECONVERGED, TCP_RETRANSMIT, REBUFFER_STOP, KEEPALIVE_MISS,
+    QUALITY_DOWNSHIFT, QUALITY_UPSHIFT,
+)
+
+#: Event types that only loss repair emits; any one of them arms the
+#: roll-up's ``repair`` section.
+_REPAIR_TYPES: Tuple[str, ...] = (
+    NACK_SENT, FEC_PARITY_SENT, RETRANSMIT_SENT, REPAIR_RECOVERED,
+    REPAIR_ABANDONED, QOE_SCORE,
+)
+
+
 class TurbulenceRollup:
     """The paper's turbulence story as O(1) commutative accumulators.
 
-    Every field is a sum, count, or min/max over the event stream —
-    never a ratio.  Rates and ratios (delivered kbps, rebuffer ratio,
-    loss rate) are derived in :meth:`as_dict` from the folded state, so
-    the roll-up itself remains a lawful monoid.  The rebuffer ledger
-    uses the balance trick: summing stop timestamps and start
-    timestamps *separately* makes total rebuffer duration an
-    order-insensitive fold (Σstop − Σstart, plus ``last_time`` per
-    still-open gap at export time).  Timestamp sums accumulate in
-    fixed point (integer 1e-9 units) so fold and merge are *exactly*
-    associative — see :class:`ExactSumHistogram` for why floats are not.
+    One per-type tally, :attr:`by_type`, holds every count; the other
+    fields hold only what a count cannot give (bytes, fragment sums,
+    the parity and before-deadline splits of recoveries, the rebuffer
+    and QoE sums, the observed time range).  Every field is a sum,
+    count, or min/max over the event stream — never a ratio.  Counts,
+    rates and ratios (delivered kbps, rebuffer ratio, loss rate) are
+    derived in :meth:`as_dict` from the folded state, so the roll-up
+    itself remains a lawful monoid.  The rebuffer ledger uses the
+    balance trick: summing stop timestamps and start timestamps
+    *separately* makes total rebuffer duration an order-insensitive
+    fold (Σstop − Σstart, plus ``last_time`` per still-open gap at
+    export time).  Timestamp sums accumulate in fixed point (integer
+    1e-9 units) so fold and merge are *exactly* associative — see
+    :class:`ExactSumHistogram` for why floats are not.
     """
 
     __slots__ = (
-        "delivered_packets", "delivered_bytes", "lost_packets",
-        "queue_drops", "frag_trains", "fragments", "stream_starts",
-        "stream_ends", "playout_starts", "rebuffer_starts",
-        "rebuffer_stops", "rebuffer_start_fp",
-        "rebuffer_stop_fp", "faults_fired", "route_reconvergences",
-        "tcp_retransmits", "keepalive_misses", "quality_downshifts",
-        "quality_upshifts", "first_time", "last_time",
-        "nacks_sent", "parity_groups", "parity_bytes",
-        "retransmits_sent", "rtx_bytes", "repairs_parity", "repairs_rtx",
-        "repairs_before_deadline", "repairs_abandoned",
-        "qoe_runs", "qoe_sum_fp", "qoe_min_fp", "qoe_max_fp",
+        "by_type", "delivered_bytes", "frag_trains", "fragments",
+        "rebuffer_start_fp", "rebuffer_stop_fp", "first_time", "last_time",
+        "parity_bytes", "rtx_bytes", "repairs_parity",
+        "repairs_before_deadline", "qoe_sum_fp", "qoe_min_fp", "qoe_max_fp",
     )
 
     def __init__(self) -> None:
-        self.delivered_packets = 0
+        #: Events folded, by type.
+        self.by_type: Dict[str, int] = {}
         self.delivered_bytes = 0
-        self.lost_packets = 0
-        self.queue_drops = 0
         self.frag_trains = 0
         self.fragments = 0
-        self.stream_starts = 0
-        self.stream_ends = 0
-        self.playout_starts = 0
-        self.rebuffer_starts = 0
-        self.rebuffer_stops = 0
         self.rebuffer_start_fp = 0
         self.rebuffer_stop_fp = 0
-        self.faults_fired = 0
-        self.route_reconvergences = 0
-        self.tcp_retransmits = 0
-        self.keepalive_misses = 0
-        self.quality_downshifts = 0
-        self.quality_upshifts = 0
         self.first_time: Optional[float] = None
         self.last_time: Optional[float] = None
         # Loss repair + QoE (repro.repair); all zero on repair-free
         # runs, and the export omits the section entirely then so
         # legacy summaries stay byte-identical.
-        self.nacks_sent = 0
-        self.parity_groups = 0
         self.parity_bytes = 0
-        self.retransmits_sent = 0
         self.rtx_bytes = 0
         self.repairs_parity = 0
-        self.repairs_rtx = 0
         self.repairs_before_deadline = 0
-        self.repairs_abandoned = 0
-        self.qoe_runs = 0
         self.qoe_sum_fp = 0
         self.qoe_min_fp: Optional[int] = None
         self.qoe_max_fp: Optional[int] = None
 
     def fold(self, etype: str, time: float, fields: Dict[str, object]) -> None:
+        by_type = self.by_type
+        by_type[etype] = by_type.get(etype, 0) + 1
         if self.first_time is None or time < self.first_time:
             self.first_time = time
         if self.last_time is None or time > self.last_time:
             self.last_time = time
         if etype == PACKET_DELIVERED:
-            self.delivered_packets += 1
             self.delivered_bytes += int(fields.get("packet_bytes", 0))
-        elif etype == PACKET_LOSS:
-            self.lost_packets += 1
-        elif etype == QUEUE_DROP:
-            self.queue_drops += 1
         elif etype == FRAGMENT_EMITTED:
             count = int(fields.get("fragments", 1))
             self.fragments += count
             if count >= 2:
                 self.frag_trains += 1
-        elif etype == STREAM_START:
-            self.stream_starts += 1
-        elif etype == STREAM_END:
-            self.stream_ends += 1
-        elif etype == PLAYOUT_START:
-            self.playout_starts += 1
         elif etype == REBUFFER_START:
-            self.rebuffer_starts += 1
             self.rebuffer_start_fp += _fp(time)
         elif etype == REBUFFER_STOP:
-            self.rebuffer_stops += 1
             self.rebuffer_stop_fp += _fp(time)
-        elif etype == FAULT_INJECTED:
-            self.faults_fired += 1
-        elif etype == ROUTE_RECONVERGED:
-            self.route_reconvergences += 1
-        elif etype == TCP_RETRANSMIT:
-            self.tcp_retransmits += 1
-        elif etype == KEEPALIVE_MISS:
-            self.keepalive_misses += 1
-        elif etype == QUALITY_DOWNSHIFT:
-            self.quality_downshifts += 1
-        elif etype == QUALITY_UPSHIFT:
-            self.quality_upshifts += 1
-        elif etype == NACK_SENT:
-            self.nacks_sent += 1
         elif etype == FEC_PARITY_SENT:
-            self.parity_groups += 1
             self.parity_bytes += int(fields.get("bytes", 0))
         elif etype == RETRANSMIT_SENT:
-            self.retransmits_sent += 1
             self.rtx_bytes += int(fields.get("bytes", 0))
         elif etype == REPAIR_RECOVERED:
             if fields.get("method") == "parity":
                 self.repairs_parity += 1
-            else:
-                self.repairs_rtx += 1
             if fields.get("before_deadline"):
                 self.repairs_before_deadline += 1
-        elif etype == REPAIR_ABANDONED:
-            self.repairs_abandoned += 1
         elif etype == QOE_SCORE:
-            self.qoe_runs += 1
             score_fp = _fp(float(fields.get("score", 0.0)))
             self.qoe_sum_fp += score_fp
             if self.qoe_min_fp is None or score_fp < self.qoe_min_fp:
@@ -383,54 +354,31 @@ class TurbulenceRollup:
                 self.qoe_max_fp = score_fp
 
     def merge(self, other: "TurbulenceRollup") -> None:
-        self.delivered_packets += other.delivered_packets
+        by_type = self.by_type
+        for etype, count in other.by_type.items():
+            by_type[etype] = by_type.get(etype, 0) + count
         self.delivered_bytes += other.delivered_bytes
-        self.lost_packets += other.lost_packets
-        self.queue_drops += other.queue_drops
         self.frag_trains += other.frag_trains
         self.fragments += other.fragments
-        self.stream_starts += other.stream_starts
-        self.stream_ends += other.stream_ends
-        self.playout_starts += other.playout_starts
-        self.rebuffer_starts += other.rebuffer_starts
-        self.rebuffer_stops += other.rebuffer_stops
         self.rebuffer_start_fp += other.rebuffer_start_fp
         self.rebuffer_stop_fp += other.rebuffer_stop_fp
-        self.faults_fired += other.faults_fired
-        self.route_reconvergences += other.route_reconvergences
-        self.tcp_retransmits += other.tcp_retransmits
-        self.keepalive_misses += other.keepalive_misses
-        self.quality_downshifts += other.quality_downshifts
-        self.quality_upshifts += other.quality_upshifts
-        self.nacks_sent += other.nacks_sent
-        self.parity_groups += other.parity_groups
         self.parity_bytes += other.parity_bytes
-        self.retransmits_sent += other.retransmits_sent
         self.rtx_bytes += other.rtx_bytes
         self.repairs_parity += other.repairs_parity
-        self.repairs_rtx += other.repairs_rtx
         self.repairs_before_deadline += other.repairs_before_deadline
-        self.repairs_abandoned += other.repairs_abandoned
-        self.qoe_runs += other.qoe_runs
         self.qoe_sum_fp += other.qoe_sum_fp
-        if other.qoe_min_fp is not None and (
-                self.qoe_min_fp is None
-                or other.qoe_min_fp < self.qoe_min_fp):
-            self.qoe_min_fp = other.qoe_min_fp
-        if other.qoe_max_fp is not None and (
-                self.qoe_max_fp is None
-                or other.qoe_max_fp > self.qoe_max_fp):
-            self.qoe_max_fp = other.qoe_max_fp
-        if other.first_time is not None and (
-                self.first_time is None or other.first_time < self.first_time):
-            self.first_time = other.first_time
-        if other.last_time is not None and (
-                self.last_time is None or other.last_time > self.last_time):
-            self.last_time = other.last_time
+        self.qoe_min_fp = _extreme(min, self.qoe_min_fp, other.qoe_min_fp)
+        self.qoe_max_fp = _extreme(max, self.qoe_max_fp, other.qoe_max_fp)
+        self.first_time = _extreme(min, self.first_time, other.first_time)
+        self.last_time = _extreme(max, self.last_time, other.last_time)
 
     # ------------------------------------------------------------------
     # Export-time derivations (never folded state)
     # ------------------------------------------------------------------
+    def count(self, etype: str) -> int:
+        """Events of type ``etype`` folded so far."""
+        return self.by_type.get(etype, 0)
+
     @property
     def span_seconds(self) -> float:
         """Observed stream span (0 until two distinct timestamps fold)."""
@@ -441,7 +389,7 @@ class TurbulenceRollup:
     @property
     def rebuffer_seconds(self) -> float:
         """Total underrun time via the start/stop balance ledger."""
-        open_gaps = self.rebuffer_starts - self.rebuffer_stops
+        open_gaps = self.count(REBUFFER_START) - self.count(REBUFFER_STOP)
         closed = (self.rebuffer_stop_fp - self.rebuffer_start_fp) / _FP_SCALE
         if open_gaps > 0 and self.last_time is not None:
             closed += open_gaps * self.last_time
@@ -455,69 +403,61 @@ class TurbulenceRollup:
         fold none of these events and must render the exact summary
         they always have.
         """
-        return bool(self.nacks_sent or self.parity_groups
-                    or self.retransmits_sent or self.repairs_parity
-                    or self.repairs_rtx or self.repairs_abandoned
-                    or self.qoe_runs)
+        return any(self.count(etype) for etype in _REPAIR_TYPES)
 
     def as_dict(self) -> Dict[str, object]:
+        count = self.count
         span = self.span_seconds
-        attempted = (self.delivered_packets + self.lost_packets
-                     + self.queue_drops)
-        recoveries = {
-            "route_reconverged": self.route_reconvergences,
-            "tcp_retransmit": self.tcp_retransmits,
-            "rebuffer_stop": self.rebuffer_stops,
-            "keepalive_miss": self.keepalive_misses,
-            "quality_downshift": self.quality_downshifts,
-            "quality_upshift": self.quality_upshifts,
-        }
+        delivered = count(PACKET_DELIVERED)
+        lost, drops = count(PACKET_LOSS), count(QUEUE_DROP)
+        attempted = delivered + lost + drops
+        recoveries = {etype: count(etype) for etype in _RECOVERY_TYPES}
         result = {
-            "delivered_packets": self.delivered_packets,
+            "delivered_packets": delivered,
             "delivered_bytes": self.delivered_bytes,
             "delivered_rate_kbps": round_export(
                 self.delivered_bytes * 8.0 / 1000.0 / span if span else 0.0),
-            "lost_packets": self.lost_packets,
-            "queue_drops": self.queue_drops,
+            "lost_packets": lost,
+            "queue_drops": drops,
             "loss_rate": round_export(
-                (self.lost_packets + self.queue_drops) / attempted
-                if attempted else 0.0),
+                (lost + drops) / attempted if attempted else 0.0),
             "frag_trains": self.frag_trains,
             "fragments": self.fragments,
-            "stream_starts": self.stream_starts,
-            "stream_ends": self.stream_ends,
-            "playout_starts": self.playout_starts,
-            "rebuffer_starts": self.rebuffer_starts,
-            "rebuffer_stops": self.rebuffer_stops,
+            "stream_starts": count(STREAM_START),
+            "stream_ends": count(STREAM_END),
+            "playout_starts": count(PLAYOUT_START),
+            "rebuffer_starts": count(REBUFFER_START),
+            "rebuffer_stops": count(REBUFFER_STOP),
             "rebuffer_seconds": round_export(self.rebuffer_seconds),
             "rebuffer_ratio": round_export(
                 self.rebuffer_seconds / span if span else 0.0),
-            "faults_fired": self.faults_fired,
+            "faults_fired": count(FAULT_INJECTED),
             "recoveries": recoveries,
             "recovery_count": sum(recoveries.values()),
             "first_time": round_export(self.first_time),
             "last_time": round_export(self.last_time),
         }
         if self.repair_active:
-            recovered = self.repairs_parity + self.repairs_rtx
-            settled = recovered + self.repairs_abandoned
+            recovered = count(REPAIR_RECOVERED)
+            settled = recovered + count(REPAIR_ABANDONED)
+            qoe_runs = count(QOE_SCORE)
             result["repair"] = {
-                "nacks_sent": self.nacks_sent,
-                "parity_groups": self.parity_groups,
+                "nacks_sent": count(NACK_SENT),
+                "parity_groups": count(FEC_PARITY_SENT),
                 "parity_bytes": self.parity_bytes,
-                "retransmits_sent": self.retransmits_sent,
+                "retransmits_sent": count(RETRANSMIT_SENT),
                 "rtx_bytes": self.rtx_bytes,
                 "recovered_parity": self.repairs_parity,
-                "recovered_rtx": self.repairs_rtx,
+                "recovered_rtx": recovered - self.repairs_parity,
                 "recovered_before_deadline": self.repairs_before_deadline,
-                "abandoned": self.repairs_abandoned,
+                "abandoned": count(REPAIR_ABANDONED),
                 "repair_ratio": round_export(
                     recovered / settled if settled else 0.0),
                 "qoe": {
-                    "runs": self.qoe_runs,
+                    "runs": qoe_runs,
                     "mean": round_export(
-                        self.qoe_sum_fp / _FP_SCALE / self.qoe_runs
-                        if self.qoe_runs else 0.0),
+                        self.qoe_sum_fp / _FP_SCALE / qoe_runs
+                        if qoe_runs else 0.0),
                     "min": round_export(
                         self.qoe_min_fp / _FP_SCALE
                         if self.qoe_min_fp is not None else None),
@@ -532,28 +472,34 @@ class TurbulenceRollup:
 class StreamingSummary:
     """The bounded-memory study summary: fold events in, merge across.
 
-    One summary instance is a *monoid element*: ``spawn()`` yields the
-    identity with the same configuration, :meth:`fold` absorbs one
-    event into O(1) state, and :meth:`merge` combines two summaries
+    One summary instance is a *monoid element* of one fixed shape: a
+    fresh ``StreamingSummary()`` is the identity, :meth:`fold` absorbs
+    one event into O(1) state, and :meth:`merge` combines two summaries
     associatively.  The study runner folds each pair run into a fresh
-    spawn and merges per-run summaries in library order, so sequential,
-    parallel, and cache-round-trip paths render byte-identical
-    :meth:`to_json` output.
+    summary and merges per-run summaries in library order, so
+    sequential, parallel, and cache-round-trip paths render
+    byte-identical :meth:`to_json` output.
     """
 
-    def __init__(self, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-                 bounds: Optional[Sequence[float]] = None) -> None:
-        self.sketch_capacity = sketch_capacity
-        self.bounds: Tuple[float, ...] = (
-            tuple(bounds) if bounds is not None else DEFAULT_BUCKET_BOUNDS)
-        self.events_folded = 0
-        self.events_by_type: Dict[str, int] = {}
-        self.families = TopKSketch(sketch_capacity)
-        self.packet_bytes = ExactSumHistogram(self.bounds)
+    def __init__(self) -> None:
+        self.families = TopKSketch()
+        self.packet_bytes = ExactSumHistogram()
         self.rollup = TurbulenceRollup()
-        self.spans_folded = 0
         self.span_kinds: Dict[str, int] = {}
-        self.span_seconds = ExactSumHistogram(self.bounds)
+        self.span_seconds = ExactSumHistogram()
+
+    @property
+    def events_by_type(self) -> Mapping[str, int]:
+        """Events folded, by type: a read-only view of the roll-up's tally."""
+        return MappingProxyType(self.rollup.by_type)
+
+    @property
+    def events_folded(self) -> int:
+        return sum(self.rollup.by_type.values())
+
+    @property
+    def spans_folded(self) -> int:
+        return sum(self.span_kinds.values())
 
     # ------------------------------------------------------------------
     # Folding (the online path)
@@ -561,9 +507,6 @@ class StreamingSummary:
     def fold(self, event: TraceEvent) -> None:
         """Absorb one trace event; O(1) work, no reference retained."""
         etype = event.type
-        self.events_folded += 1
-        by_type = self.events_by_type
-        by_type[etype] = by_type.get(etype, 0) + 1
         fields = dict(event.fields)
         self.families.observe(self._family_key(etype, fields))
         if etype == PACKET_DELIVERED:
@@ -584,38 +527,17 @@ class StreamingSummary:
         for span in spans:
             if span.end is None:
                 continue
-            self.spans_folded += 1
             kinds[span.kind] = kinds.get(span.kind, 0) + 1
             self.span_seconds.observe(span.duration)
 
     # ------------------------------------------------------------------
     # The monoid
     # ------------------------------------------------------------------
-    def spawn(self) -> "StreamingSummary":
-        """A fresh identity element with this summary's configuration."""
-        return StreamingSummary(sketch_capacity=self.sketch_capacity,
-                                bounds=self.bounds)
-
     def merge(self, other: "StreamingSummary") -> None:
-        """Fold another summary in (associative, commutative, exact).
-
-        Raises:
-            AnalysisError: on configuration mismatch (different sketch
-                capacity or histogram bounds cannot merge losslessly).
-        """
-        if (other.sketch_capacity != self.sketch_capacity
-                or other.bounds != self.bounds):
-            raise AnalysisError(
-                "cannot merge streaming summaries with different "
-                "configurations")
-        self.events_folded += other.events_folded
-        for etype, count in other.events_by_type.items():
-            self.events_by_type[etype] = (
-                self.events_by_type.get(etype, 0) + count)
+        """Fold another summary in (associative, commutative, exact)."""
         self.families.merge(other.families)
         self.packet_bytes.merge(other.packet_bytes)
         self.rollup.merge(other.rollup)
-        self.spans_folded += other.spans_folded
         for kind, count in other.span_kinds.items():
             self.span_kinds[kind] = self.span_kinds.get(kind, 0) + count
         self.span_seconds.merge(other.span_seconds)
@@ -625,8 +547,9 @@ class StreamingSummary:
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         return {
-            "config": {"sketch_capacity": self.sketch_capacity,
-                       "bounds": [round_export(b) for b in self.bounds]},
+            "config": {"sketch_capacity": DEFAULT_SKETCH_CAPACITY,
+                       "bounds": [round_export(b)
+                                  for b in DEFAULT_BUCKET_BOUNDS]},
             "events": {"folded": self.events_folded,
                        "by_type": dict(sorted(self.events_by_type.items()))},
             "families": self.families.as_dict(),
@@ -656,7 +579,7 @@ class StreamingSummary:
         with the number of runs or events folded.
         """
         return {
-            "event_types": len(self.events_by_type),
+            "event_types": len(self.rollup.by_type),
             "family_keys": len(self.families),
             "packet_buckets": len(self.packet_bytes.bucket_counts),
             "span_kinds": len(self.span_kinds),
@@ -667,10 +590,10 @@ class StreamingSummary:
 class StreamingSink:
     """Bus sink that folds every event straight into a summary.
 
-    Attach one per pair run (the runner spawns a fresh per-run summary
-    from the study template, attaches this sink for the run's duration,
-    then detaches it and merges the run's summary into the study's) —
-    nothing is buffered, so the sink's footprint is the summary's.
+    Attach one per pair run (the runner folds each run into a fresh
+    summary, attaches this sink for the run's duration, then detaches
+    it and merges the run's summary into the study's) — nothing is
+    buffered, so the sink's footprint is the summary's.
     """
 
     active = True
@@ -682,14 +605,13 @@ class StreamingSink:
         self.summary.fold(event)
 
 
-def fold_events(events: Iterable[TraceEvent],
-                into: Optional[StreamingSummary] = None) -> StreamingSummary:
-    """Fold an event sequence into a summary (fresh by default).
+def fold_events(events: Iterable[TraceEvent]) -> StreamingSummary:
+    """Fold an event sequence into a fresh summary.
 
     The recompute half of the ``stream-equivalence`` invariant: folding
     a run's *buffered* events must reproduce the online summary.
     """
-    summary = into if into is not None else StreamingSummary()
+    summary = StreamingSummary()
     fold = summary.fold
     for event in events:
         fold(event)

@@ -32,7 +32,7 @@ from repro.errors import ValidationError
 from repro.telemetry.critical_path import attribute_latency
 from repro.telemetry.events import REBUFFER_START
 from repro.telemetry.sinks import MemorySink
-from repro.telemetry.streaming import StreamingSink
+from repro.telemetry.streaming import StreamingSink, fold_events
 from repro.telemetry.spans import (
     SPAN_ADU,
     SPAN_BUFFER,
@@ -706,9 +706,7 @@ class RunValidator:
                       if event.sequence > high_water]
         for sink in streaming:
             self.checks_performed += 1
-            refold = sink.summary.spawn()
-            for event in run_events:
-                refold.fold(event)
+            refold = fold_events(run_events)
             if refold.as_dict() != sink.summary.as_dict():
                 fail("stream-equivalence",
                      f"online fold (fingerprint "

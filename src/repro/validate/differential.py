@@ -177,8 +177,7 @@ def run_differential(spec: RunSpec, jobs: int = 2) -> DifferentialReport:
     # reproduce the per-run merged summary byte for byte — the bounded
     # fold lost nothing the unbounded buffer kept.
     if study_seq.streaming is not None:
-        refold = fold_events(telemetry_seq.memory_events(),
-                             into=study_seq.streaming.spawn())
+        refold = fold_events(telemetry_seq.memory_events())
         if telemetry_seq.spans is not None:
             refold.fold_spans(telemetry_seq.spans.spans)
         if refold.to_json() != study_seq.streaming.to_json():

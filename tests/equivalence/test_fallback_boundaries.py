@@ -12,11 +12,21 @@ equivalence contract.
 
 import random
 
+import pytest
+
 from repro import units
 from repro.experiments.conditions import NetworkConditions
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import run_pair_experiment, run_study
 from repro.cc.base import CcConfig
+from repro.faults import (
+    FaultController,
+    FaultEvent,
+    FaultScenario,
+    build_scenario,
+)
+from repro.faults.scenario import SET_BANDWIDTH, SET_DELAY
+from repro.media.library import ClipLibrary
 from repro.netsim.addressing import IPAddress
 from repro.netsim.crosstraffic import OnOffParetoSource
 from repro.netsim.engine import Simulator
@@ -28,6 +38,7 @@ from repro.netsim.flowlevel import (
 )
 from repro.netsim.link import Link
 from repro.netsim.node import Host
+from repro.validate.checker import RunValidator
 from repro.validate.differential import study_surface
 
 SCALE = 0.04
@@ -154,3 +165,43 @@ class TestParallelDeterminism:
                              fast_path=config, jobs=2)
         assert parallel.execution == "parallel jobs=2"
         assert study_surface(parallel) == study_surface(sequential)
+
+
+class TestFaultScenarioWindows:
+    """A fault scenario meeting the fast path registers its windows."""
+
+    @staticmethod
+    def _armed_windows(*events):
+        sim = Simulator(seed=3, fast_path=FlowLevelConfig())
+        FaultController(sim, FaultScenario("custom", events=events),
+                        reference_duration=10.0).arm()
+        return sim.fast_path._blackouts
+
+    def test_restore_closes_the_window(self):
+        windows = self._armed_windows(
+            FaultEvent(at_frac=0.2, action=SET_BANDWIDTH,
+                       params=(("bandwidth_bps", 200_000.0),)),
+            FaultEvent(at_frac=0.6, action=SET_BANDWIDTH,
+                       params=(("restore", True),)))
+        assert windows == [(2.0, 6.0)]
+
+    def test_missing_restore_leaves_the_window_open(self):
+        windows = self._armed_windows(
+            FaultEvent(at_frac=0.3, action=SET_DELAY,
+                       params=(("delay", 0.05),)))
+        assert windows == [(3.0, float("inf"))]
+
+    @pytest.mark.parametrize("name", ["link-flap", "degrade", "burst-loss",
+                                      "congestion-surge"])
+    def test_faulted_sweep_falls_back_inside_windows(self, name):
+        full = build_table1_library(duration_scale=0.12)
+        library = ClipLibrary()
+        library.add_set(full.get_set(3))
+        validator = RunValidator(raise_on_violation=False)
+        study = run_study(library=library, seed=424, duration_scale=0.12,
+                          scenario=build_scenario(name, 424),
+                          validate=validator, fast_path=FlowLevelConfig())
+        assert validator.violations == []
+        blackouts = sum(dict(run.fastpath.fallback_reasons)
+                        .get(REASON_BLACKOUT, 0) for run in study.runs)
+        assert blackouts > 0

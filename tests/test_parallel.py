@@ -68,7 +68,16 @@ class TestJobsResolution:
         assert resolve_jobs(7) == 7
 
     def test_zero_means_cpu_count(self):
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        usable = (len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        assert resolve_jobs(0) == usable
+
+    def test_zero_counts_only_cpus_in_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(ExperimentError):

@@ -36,6 +36,7 @@ from repro.telemetry import (
     to_json,
 )
 from repro.telemetry import events as events_module
+from repro.telemetry.registry import DEFAULT_SERIES_LIMIT
 
 
 def small_pair(duration_scale=0.05):
@@ -72,11 +73,11 @@ class TestRegistry:
         assert list(gauge.series) == [(1.0, 10.0), (2.0, 40.0), (3.0, 5.0)]
 
     def test_gauge_series_is_bounded(self):
-        registry = MetricsRegistry(series_limit=4)
+        registry = MetricsRegistry()
         gauge = registry.gauge("depth")
-        for step in range(10):
+        for step in range(DEFAULT_SERIES_LIMIT + 6):
             gauge.set(float(step), float(step))
-        assert len(gauge.series) == 4
+        assert len(gauge.series) == DEFAULT_SERIES_LIMIT
         assert list(gauge.series)[0] == (6.0, 6.0)
 
     def test_context_labels_scope_instruments(self):
