@@ -31,9 +31,10 @@ STUDY_BENCH_ROUNDS = 3
 #: serialization time, so every train is provably exact in strict mode.
 DELIVERY_TRAINS = 400
 DELIVERY_HOPS = 25
-#: The floor the substrate bench enforces (the measured median on the
-#: reference box is ~15x; 5x leaves room for slow CI hardware without
-#: letting the fast path quietly decay into the event path).
+#: The floor the substrate bench enforces.  On a 2-CPU Xeon VM the
+#: ratio reads ~8.4x (median of ten interleaved runs, 7.2-10.8x); 5x
+#: leaves room for slow CI hardware without letting the fast path
+#: quietly decay into the event path.
 MIN_UNCONTENDED_SPEEDUP = 5.0
 
 

@@ -105,10 +105,13 @@ def _disk_load(key: str) -> Optional[StudyResults]:
         # A truncated or version-skewed entry is a miss, not an error;
         # the fresh run below overwrites it.
         return None
-    if isinstance(payload, dict):
-        return StudyResults(runs=payload["runs"],
-                            streaming=payload.get("streaming"))
-    return StudyResults(runs=payload)
+    if not (isinstance(payload, dict)
+            and isinstance(payload.get("runs"), list)):
+        # Only the shape _disk_store writes is a hit; anything else at
+        # this path is a miss, overwritten like a truncated entry.
+        return None
+    return StudyResults(runs=payload["runs"],
+                        streaming=payload.get("streaming"))
 
 
 def _disk_store(spec: RunSpec, key: str, study: StudyResults) -> None:

@@ -1,14 +1,16 @@
 """Flow-level fast path: analytic delivery of whole packet trains.
 
 The event engine spends almost all of a clean study's time moving media
-packets hop by hop: every packet costs two heap events per direction
-(serialize, deliver) across ~17 hops, even though on an idle FIFO path
-the whole schedule is closed-form.  This module computes that schedule
-directly.  When a datagram's packet train leaves the sender's IP layer,
-the :class:`FlowLevelDirector` walks the routed path once and — if
-every direction is analytically tractable — computes each packet's
-departure and arrival times with the exact store-and-forward recursion
-the event path would have produced::
+packets hop by hop across ~17 hops: every packet costs two heap events
+per direction (serialize, deliver) on a jittery link and on every link
+of a simulator with a director, and one per idle hop on a jitter-free
+link otherwise (see :class:`~repro.netsim.link._Direction`), even
+though on an idle FIFO path the whole schedule is closed-form.  This
+module computes that schedule directly.  When a datagram's packet train
+leaves the sender's IP layer, the :class:`FlowLevelDirector` walks the
+routed path once and — if every direction is analytically tractable —
+computes each packet's departure and arrival times with the exact
+store-and-forward recursion the event path would have produced::
 
     dep[i]     = max(entry[i], dep[i-1]) + tx(wire_bytes[i], bandwidth)
     arrival[i] = (dep[i] + propagation) + max(0, jitter())
@@ -20,6 +22,12 @@ event path term for term, so with zero jitter the analytic schedule is
 bit-identical to packet-level simulation; with Gaussian jitter the
 per-train draw order matches the wire order, so a lone train is still
 exact and only cross-train RNG interleaving differs.
+
+:func:`train_schedule` is the reference implementation of one
+direction's recursion.  The director does not call it: it inlines the
+recursion into a single fused walk over the path, and the
+``fastpath-equivalence`` refold (:meth:`TrainRecord.refold`) and the
+property tests check that walk against the reference bit for bit.
 
 **Validity conditions** (checked per train, per direction, at send
 time): the direction is up and idle (no queued or in-flight real
@@ -47,7 +55,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro import units
 from repro.errors import SimulationError
 from repro.netsim.headers import IpProtocol
-from repro.netsim.link import LossModel, _Direction
+from repro.netsim.link import LossModel, _Direction, _no_jitter
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 
@@ -128,8 +136,9 @@ def train_schedule(entries: Sequence[float], wires: Sequence[int],
     """One direction's store-and-forward schedule for one train.
 
     Replicates the event path's float operations exactly (see module
-    docstring); shared by the director and the ``fastpath-equivalence``
-    refold so the two can never drift apart.
+    docstring).  This is the reference the ``fastpath-equivalence``
+    refold and the tests compare the director's fused walk against, so
+    the two are independent implementations of one recursion.
 
     Returns:
         ``(arrivals, dep_last, last_delivery)``.
@@ -141,9 +150,8 @@ def train_schedule(entries: Sequence[float], wires: Sequence[int],
         start = entry if entry > dep else dep
         # Inlined units.transmission_delay (same float operations).
         dep = start + wire * 8.0 / bandwidth_bps
-        # Conditionals instead of max(): same results, and this loop
-        # runs once per packet per direction — it is the fast path's
-        # inner kernel.
+        # Conditionals instead of max(): same results, in the form the
+        # director's fused walk inlines.
         arrival = dep + propagation + (jitter if jitter > 0.0 else 0.0)
         if arrival < last_delivery:
             arrival = last_delivery
@@ -174,7 +182,8 @@ class TrainRecord:
     arrivals: Tuple[float, ...]
 
     def refold(self) -> Tuple[float, ...]:
-        """Recompute the final arrivals from the recorded inputs."""
+        """Recompute the final arrivals from the recorded inputs with
+        :func:`train_schedule`, independently of the fused walk."""
         entries: Sequence[float] = [self.sent_at] * len(self.wires)
         arrivals: List[float] = list(entries)
         for fold in self.directions:
@@ -282,10 +291,11 @@ class FlowLevelDirector:
             queue = direction._queue
             if type(queue) is not DropTailQueue:
                 return None, REASON_CONTENTION
+            jitter = direction._jitter
             profile.append((direction, direction._bandwidth_bps,
                             direction._propagation_delay,
-                            direction._jitter, queue, queue._queue,
-                            queue.capacity_bytes))
+                            None if jitter is _no_jitter else jitter,
+                            queue, queue._queue, queue.capacity_bytes))
         return profile, None
 
     def _walk_path(self, host: "Host", dst) -> Optional[tuple]:
@@ -356,19 +366,33 @@ class FlowLevelDirector:
                 return self._refuse(packets, REASON_TAPPED)
         now = sim.now
         count = len(packets)
+        single = count == 1
         strict = self.config.strict
-        train_bytes = sum(packet.ip_bytes for packet in packets)
-        wires = tuple(packet.wire_bytes for packet in packets)
-        entries: Sequence[float] = [now] * count
-        # One pass per direction: dynamic eligibility (statics were
-        # settled by the profile above), then the speculative analytic
-        # schedule.  Direction state mutates only in the commit phase
-        # below, so a refusal here perturbs nothing but the jitter
-        # streams already drawn (deterministically).
         record = self._record_ledger
+        # ``head`` is the train's first entry into the current
+        # direction.  A one-packet train (most trains) rides as that
+        # scalar; a longer one also keeps every entry in ``entries``.
+        # Each packet's ``wire * 8.0`` is computed once for the path.
+        head = now
+        if single:
+            train_bytes = first.ip_bytes
+            bits = first.wire_bytes * 8.0
+        else:
+            train_bytes = sum([packet.ip_bytes for packet in packets])
+            bits = [packet.wire_bytes * 8.0 for packet in packets]
+            entries = [now] * count
+            zeros = (0.0,) * count
         folds: List[_DirectionFold] = []
-        #: Per direction: (first entry, dep of last packet, last arrival).
-        commits: List[Tuple[float, float, float]] = []
+        #: Per direction: (direction, last entry, dep of last packet,
+        #: last arrival).
+        commits: List[Tuple[_Direction, float, float, float]] = []
+        # One fused pass over the path.  Per direction: dynamic
+        # eligibility (statics were settled by the profile above), the
+        # jitter draws, then train_schedule's store-and-forward
+        # recursion inlined with the same float operations.  Direction
+        # state mutates only in the commit phase below, so a refusal
+        # here perturbs nothing but the jitter streams already drawn
+        # (deterministically).
         for (direction, bandwidth, propagation, jitter, queue, backlog,
              capacity) in entry_cache.profile:
             busy = direction._busy
@@ -382,9 +406,8 @@ class FlowLevelDirector:
                 # The event path would tail-drop part of this train;
                 # the analytic model delivers everything, so refuse.
                 return self._refuse(packets, REASON_CONTENTION)
-            if entries[0] < direction._fp_last_entry:
+            if head < direction._fp_last_entry:
                 return self._refuse(packets, REASON_INTERLEAVE)
-            jitters = tuple([jitter() for _ in range(count)])
             # Chain the departure recursion through everything the
             # serializer is already committed to: prior reservations,
             # the in-service real packet (departure pinned by
@@ -394,23 +417,52 @@ class FlowLevelDirector:
             prev_dep = direction._reserved_until
             if busy and direction._busy_until > prev_dep:
                 prev_dep = direction._busy_until
-            for pending in backlog:
-                prev_dep += pending.wire_bytes * 8.0 / bandwidth
-            last_delivery = direction._last_delivery
+            if backlog:
+                for pending in backlog:
+                    prev_dep += pending.wire_bytes * 8.0 / bandwidth
+            clamp = direction._last_delivery
+            # A jittery direction draws once per packet, in wire order;
+            # a jitter-free one (``jitter is None``) draws nothing and
+            # adds nothing, so only the ledger sees its zeros.
+            if single:
+                draw = 0.0 if jitter is None else jitter()
+                start = head if head > prev_dep else prev_dep
+                dep = start + bits / bandwidth
+                arrival = dep + propagation
+                if draw > 0.0:
+                    arrival += draw
+                if arrival < clamp:
+                    arrival = clamp
+                commits.append((direction, head, dep, arrival))
+                head = arrival
+            else:
+                draws = zeros if jitter is None else tuple(
+                    [jitter() for _ in range(count)])
+                dep = prev_dep
+                last_delivery = clamp
+                arrivals = []
+                for entry, wire_bits, draw in zip(entries, bits, draws):
+                    start = entry if entry > dep else dep
+                    dep = start + wire_bits / bandwidth
+                    arrival = dep + propagation
+                    if draw > 0.0:
+                        arrival += draw
+                    if arrival < last_delivery:
+                        arrival = last_delivery
+                    last_delivery = arrival
+                    arrivals.append(arrival)
+                commits.append((direction, entries[-1], dep, arrival))
+                entries = arrivals
+                head = arrivals[0]
             if record:
                 folds.append(_DirectionFold(
                     label=direction._label,
                     bandwidth_bps=bandwidth,
                     propagation=propagation,
                     prev_dep=prev_dep,
-                    last_delivery=last_delivery,
-                    jitters=jitters))
-            arrivals, dep_last, last_delivery = train_schedule(
-                entries, wires, bandwidth, propagation,
-                prev_dep, last_delivery, jitters)
-            commits.append((entries[-1], dep_last, last_delivery))
-            entries = arrivals
-        arrivals = list(entries)
+                    last_delivery=clamp,
+                    jitters=(draw,) if single else draws))
+        arrivals = [head] if single else entries
         if self._blackouts and self._blacked_out(now, arrivals[-1]):
             return self._refuse(packets, REASON_BLACKOUT)
 
@@ -421,10 +473,8 @@ class FlowLevelDirector:
             notify("tx", packet)
         for router in routers:
             router.forwarded += count
-        total_bytes = train_bytes
         final = directions[-1]
-        for direction, (last_entry, dep_last, last_delivery) in zip(
-                directions, commits):
+        for direction, last_entry, dep_last, last_delivery in commits:
             direction._reserved_until = dep_last
             direction._fp_last_entry = last_entry
             # Delivery-order clamp for any later packet on this wire,
@@ -432,7 +482,8 @@ class FlowLevelDirector:
             direction._last_delivery = last_delivery
             stats = direction.stats
             stats.packets_sent += count
-            if direction._telemetry is not None:
+            telemetry = direction._telemetry
+            if telemetry is not None:
                 direction._ctr_sent.inc(count)
             if direction is final:
                 continue
@@ -440,10 +491,10 @@ class FlowLevelDirector:
             # arrivals, so the books close synchronously; the final
             # direction delivers through its own event path below.
             stats.packets_delivered += count
-            stats.bytes_delivered += total_bytes
-            if direction._telemetry is not None:
+            stats.bytes_delivered += train_bytes
+            if telemetry is not None:
                 direction._ctr_delivered.inc(count)
-                direction._ctr_bytes.inc(total_bytes)
+                direction._ctr_bytes.inc(train_bytes)
         hops = len(routers)
         final._in_flight += count
         schedule_at = sim.schedule_at
@@ -451,10 +502,11 @@ class FlowLevelDirector:
         for packet, arrival in zip(packets, arrivals):
             delivered = packet if hops == 0 else packet.forwarded(hops)
             schedule_at(arrival, finish, final, delivered)
-        if self._record_ledger:
+        if record:
             self.ledger.append(TrainRecord(
-                sent_at=now, wires=wires, directions=tuple(folds),
-                arrivals=tuple(arrivals)))
+                sent_at=now,
+                wires=tuple([packet.wire_bytes for packet in packets]),
+                directions=tuple(folds), arrivals=tuple(arrivals)))
         self.trains_fast += 1
         self.packets_fast += count
         self.events_saved += count * 2 * len(directions) - count
@@ -490,9 +542,11 @@ class _PathEntry:
 
     ``profile`` is a list of per-direction tuples ``(direction,
     bandwidth_bps, propagation, jitter, queue, backlog_deque,
-    capacity_bytes)`` — or None with ``reason`` set when a static
-    check failed (then every train on this path refuses in O(1) until
-    a link mutator bumps the topology epoch).
+    capacity_bytes)``, where ``jitter`` is None on a jitter-free
+    direction (the walk then draws nothing there) — or None with
+    ``reason`` set when a static check failed (then every train on
+    this path refuses in O(1) until a link mutator bumps the topology
+    epoch).
     """
 
     __slots__ = ("directions", "routers", "sink", "profile", "reason",

@@ -797,12 +797,14 @@ class RunValidator:
     def _check_fastpath(self, fail) -> None:
         # The flow-level director keeps a ledger of every accepted
         # train: the exact inputs it fed the analytic recursion and the
-        # arrivals it committed.  Refolding the ledger through the same
-        # shared kernel must reproduce the arrivals bit for bit — any
-        # drift means the director mutated direction state between the
-        # speculative fold and the commit, or the kernel changed under
-        # it.  Honest skip: a run where every train fell back (or the
-        # fast path was off) leaves an empty ledger and sweeps nothing.
+        # arrivals it committed.  Refolding the ledger through
+        # train_schedule, the reference the director's fused walk
+        # inlines, must reproduce the arrivals bit for bit — any drift
+        # means the walk's float operations left the reference's, or
+        # the director mutated direction state between the speculative
+        # walk and the commit.  Honest skip: a run where every train
+        # fell back (or the fast path was off) leaves an empty ledger
+        # and sweeps nothing.
         for director in self._fastpaths:
             self.checks_performed += 1
             packets = 0

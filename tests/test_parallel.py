@@ -10,6 +10,7 @@ is tested through ``REPRO_STUDY_CACHE_DIR`` so nothing touches the real
 
 import hashlib
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -264,3 +265,36 @@ class TestDiskCache:
         monkeypatch.setattr(study_cache, "_code_fingerprint", "0" * 16)
         _, source = load_or_run_study(spec)
         assert source == "run"
+
+    @pytest.mark.parametrize("payload", [
+        {"streaming": None},
+        {"runs": "not a list of runs"},
+        [],
+    ], ids=["no-runs", "runs-not-a-list", "bare-list"])
+    def test_wrong_shaped_entry_is_a_miss(self, disk_cache, payload):
+        # A well-formed pickle that _disk_store did not write (here, at
+        # the entry's own path) is a miss, never a KeyError.
+        spec = RunSpec(seed=9, duration_scale=0.03,
+                       library=one_set_library(1))
+        entry, _ = study_cache._entry_paths(spec.fingerprint())
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        entry.write_bytes(pickle.dumps(payload))
+        study, source = load_or_run_study(spec)
+        assert source == "run"
+        assert len(study) == 2
+
+    def test_truncated_entry_is_a_miss_then_overwritten(self, disk_cache):
+        spec = RunSpec(seed=9, duration_scale=0.03,
+                       library=one_set_library(1))
+        load_or_run_study(spec)
+        entry, _ = study_cache._entry_paths(spec.fingerprint())
+        entry.write_bytes(entry.read_bytes()[:64])
+        clear_cache()
+        fresh, source = load_or_run_study(spec)
+        assert source == "run"
+        # The fresh run stored a whole entry in the truncated one's place.
+        clear_cache()
+        again, source = load_or_run_study(spec)
+        assert source == "disk"
+        for mine, theirs in zip(again, fresh):
+            assert mine.trace.records == theirs.trace.records

@@ -1,5 +1,8 @@
 """repro.validate tests: invariant checker, differential oracle, CLI."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import main
@@ -14,6 +17,7 @@ from repro.netsim.flowlevel import FlowLevelConfig
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.queues import DropTailQueue
+from repro.netsim.topology import build_path_topology
 from repro.telemetry import MemorySink, SpanRecorder, Telemetry
 from repro.validate import (
     INVARIANT_NAMES,
@@ -157,6 +161,34 @@ class TestInjectedBug:
         alpha.udp.bind_ephemeral().send(beta.address, 5005, 2000)
         sim.run()
         assert validator.check_run() == []
+
+    def test_fastpath_ledger_one_ulp_off_is_caught(self):
+        # fastpath-equivalence refolds every committed train through
+        # train_schedule, the reference the director's fused walk
+        # must match bit for bit; one ulp of drift has to fail it.
+        validator = RunValidator(raise_on_violation=False)
+        sim = Simulator(seed=7, validate=validator,
+                        fast_path=FlowLevelConfig())
+        path = build_path_topology(sim, hop_count=6, rtt=0.040,
+                                   jitter_std=0.0004)
+        path.client.udp.bind(7000)
+        source = path.server.udp.bind_ephemeral()
+        for index, size in enumerate((200, 4000, 1472, 12000)):
+            sim.schedule_at(index * 0.05, source.send,
+                            path.client.address, 7000, size)
+        sim.run()
+        director = sim.fast_path
+        assert len(director.ledger) == 4
+        assert validator.check_run(run="honest") == []
+
+        record = director.ledger[1]
+        arrivals = list(record.arrivals)
+        arrivals[-1] = math.nextafter(arrivals[-1], math.inf)
+        director.ledger[1] = replace(record, arrivals=tuple(arrivals))
+        found = validator.check_run(run="tampered")
+        assert [violation.invariant for violation in found] == [
+            "fastpath-equivalence"]
+        assert "train 1 " in found[0].message
 
 
 class TestStudySurface:
