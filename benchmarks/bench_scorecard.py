@@ -12,4 +12,4 @@ def test_bench_scorecard(benchmark, study):
     print()
     print(render_scorecard(results))
     failures = [r for r in results if not r.passed]
-    assert not failures, f"claims failed: {[r.claim for r in failures]}"
+    assert not failures, f"claims failed: {[r.label for r in failures]}"

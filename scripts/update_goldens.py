@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.validate.golden import (  # noqa: E402 (path bootstrap above)
     GOLDEN_SCENARIOS,
+    compare_golden,
     compute_golden,
     default_golden_dir,
     golden_path,
@@ -49,12 +50,8 @@ def main(argv: list) -> int:
         changed = "rewritten" if previous is not None else "created"
         print(f"{name}: {changed} ({path})")
         if previous is not None:
-            before = previous.get("digests", {})
-            after = document.get("digests", {})
-            for key in sorted(set(before) | set(after)):
-                if before.get(key) != after.get(key):
-                    print(f"  {key}: {str(before.get(key))[:12]} -> "
-                          f"{str(after.get(key))[:12]}")
+            for line in compare_golden(previous, document):
+                print(f"  {line}")
     return 0
 
 

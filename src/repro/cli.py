@@ -365,7 +365,6 @@ def _spec_from_args(args: argparse.Namespace):
     from repro.experiments.datasets import build_table1_library
     from repro.experiments.spec import RunSpec
     from repro.faults import build_scenario
-    from repro.media.library import ClipLibrary
     from repro.netsim.flowlevel import FlowLevelConfig
     from repro.repair import RepairConfig
 
@@ -380,9 +379,8 @@ def _spec_from_args(args: argparse.Namespace):
     try:
         library = None
         if options.get("set_number") is not None:
-            full = build_table1_library(duration_scale=args.scale)
-            library = ClipLibrary()
-            library.add_set(full.get_set(args.set_number))
+            library = build_table1_library(
+                duration_scale=args.scale).only_set(args.set_number)
         repair = None
         if "fec_group" in options:  # `repro repair` tunes what it arms
             repair = RepairConfig(fec_group=args.fec_group,

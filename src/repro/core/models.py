@@ -30,12 +30,10 @@ from repro import units
 from repro.errors import MediaError
 from repro.media.clip import PlayerFamily
 from repro.servers.pacing import (
-    REAL_MAX_PACKET_BYTES,
-    REAL_MIN_PACKET_BYTES,
-    WMS_MAX_SMALL_ADU_BYTES,
-    WMS_MIN_ADU_BYTES,
+    REAL_INTERARRIVAL_SHAPE,
+    draw_wms_packetization,
     real_mean_packet_bytes,
-    wms_packetization,
+    real_packet_bytes,
 )
 from repro.servers.realserver import buffering_ratio, burst_duration
 
@@ -124,10 +122,8 @@ class MediaPlayerFlowModel:
         if encoded_kbps <= 0:
             raise MediaError(f"rate must be positive: {encoded_kbps}")
         self.encoded_kbps = encoded_kbps
-        rng = rng or random.Random(0)
-        small_adu = rng.randint(WMS_MIN_ADU_BYTES, WMS_MAX_SMALL_ADU_BYTES)
-        self.adu_bytes, self.tick_interval = wms_packetization(
-            units.kbps(encoded_kbps), small_adu)
+        self.adu_bytes, self.tick_interval = draw_wms_packetization(
+            units.kbps(encoded_kbps), rng or random.Random(0))
 
     def group_payloads(self, duration: float) -> List[Tuple[float, int]]:
         """(send time, ADU payload bytes) for a clip of ``duration``."""
@@ -178,8 +174,6 @@ class RealPlayerFlowModel:
         burst_ratio / burst_seconds: override the Figure 11 defaults.
     """
 
-    INTERARRIVAL_SHAPE = 4.0
-
     def __init__(self, encoded_kbps: float,
                  rng: Optional[random.Random] = None,
                  burst_ratio: Optional[float] = None,
@@ -193,14 +187,6 @@ class RealPlayerFlowModel:
         self.burst_seconds = (burst_seconds if burst_seconds is not None
                               else burst_duration(encoded_kbps))
         self.mean_packet_bytes = real_mean_packet_bytes(encoded_kbps)
-
-    def _draw_size(self) -> int:
-        if self._rng.random() < 0.72:
-            factor = self._rng.uniform(0.60, 1.30)
-        else:
-            factor = self._rng.uniform(1.30, 1.80)
-        size = int(round(self.mean_packet_bytes * factor))
-        return max(REAL_MIN_PACKET_BYTES, min(size, REAL_MAX_PACKET_BYTES))
 
     def packet_schedule(self, duration: float) -> List[PacketEvent]:
         """The full on-wire schedule for a clip of ``duration``.
@@ -217,7 +203,8 @@ class RealPlayerFlowModel:
         group = 0
         rate_bps = units.kbps(self.encoded_kbps)
         while sent < total_bytes:
-            payload = min(self._draw_size(), int(total_bytes - sent))
+            size = real_packet_bytes(self._rng, self.mean_packet_bytes)
+            payload = min(size, int(total_bytes - sent))
             events.append(PacketEvent(
                 time=time,
                 ip_bytes=(units.IPV4_HEADER_BYTES + units.UDP_HEADER_BYTES
@@ -230,7 +217,7 @@ class RealPlayerFlowModel:
             group += 1
             ratio = (self.burst_ratio if time < self.burst_seconds else 1.0)
             mean_gap = payload * 8.0 / (rate_bps * ratio)
-            shape = self.INTERARRIVAL_SHAPE
+            shape = REAL_INTERARRIVAL_SHAPE
             time += self._rng.gammavariate(shape, mean_gap / shape)
         return events
 

@@ -37,6 +37,7 @@ from repro.cc.base import CcConfig, cc_names
 from repro.errors import ExperimentError
 from repro.experiments.cache import get_study
 from repro.experiments.runner import StudyResults
+from repro.experiments.scorecard import ScoreRow, render_rows
 from repro.experiments.spec import RunSpec
 
 __all__ = ["MODERN_TRANSPORTS", "ModernScorecard", "run_modern_scorecard",
@@ -60,18 +61,6 @@ def _transport_configs(name: str) -> Tuple[Optional[CcConfig],
         f"unknown transport {name!r}; known transports: {known}")
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    """One figure-family metric measured under every transport."""
-
-    artifact: str
-    metric: str
-    values: Tuple[Tuple[str, str], ...]  # (transport, rendered value)
-
-    def row(self) -> List[str]:
-        return [self.artifact, self.metric] + [v for _, v in self.values]
-
-
 @dataclass
 class ModernScorecard:
     """The four studies and their figure-for-figure comparison."""
@@ -79,7 +68,8 @@ class ModernScorecard:
     transports: Tuple[str, ...]
     seed: int
     duration_scale: float
-    rows: List[MetricRow] = field(default_factory=list)
+    #: One row per figure-family metric, a cell per transport.
+    rows: List[ScoreRow] = field(default_factory=list)
     #: Per transport: sorted (set number, mean delivered kbps) points.
     delivered_by_set: Dict[str, List[Tuple[float, float]]] = (
         field(default_factory=dict))
@@ -190,35 +180,30 @@ def run_modern_scorecard(spec: RunSpec, jobs: int = 1,
         cc, abr = configs[name]
         studies[name] = get_study(replace(spec, cc=cc, abr=abr), jobs=jobs)
     for artifact, label, extract, suffix, digits in _METRICS:
-        values = tuple(
-            (name, _fmt(extract(studies[name]), suffix, digits))
-            for name in names)
-        card.rows.append(MetricRow(artifact=artifact, metric=label,
-                                   values=values))
+        cells = tuple(_fmt(extract(studies[name]), suffix, digits)
+                      for name in names)
+        card.rows.append(ScoreRow(artifact=artifact, label=label,
+                                  cells=cells))
     for name in names:
         card.delivered_by_set[name] = _delivered_by_set(studies[name])
     set_numbers = sorted({x for points in card.delivered_by_set.values()
                           for x, _ in points})
     for number in set_numbers:
-        values = tuple(
-            (name, _fmt(dict(card.delivered_by_set[name]).get(number),
-                        " kbps"))
+        cells = tuple(
+            _fmt(dict(card.delivered_by_set[name]).get(number), " kbps")
             for name in names)
-        card.rows.append(MetricRow(
-            artifact="table1", metric=f"set {int(number)} delivered",
-            values=values))
+        card.rows.append(ScoreRow(
+            artifact="table1", label=f"set {int(number)} delivered",
+            cells=cells))
     return card
 
 
 def render_modern_scorecard(card: ModernScorecard) -> str:
     """The then-vs-now comparison as a text table."""
-    from repro.analysis.report import format_table
-
-    headers = ("artifact", "metric (then vs. now)") + card.transports
-    table = format_table(headers, [row.row() for row in card.rows])
-    return (f"{table}\n\nseed {card.seed}, duration scale "
-            f"{card.duration_scale}; transports: "
-            + ", ".join(card.transports))
+    return render_rows(
+        ("artifact", "metric (then vs. now)") + card.transports, card.rows,
+        f"seed {card.seed}, duration scale {card.duration_scale}; "
+        "transports: " + ", ".join(card.transports))
 
 
 def scorecard_svg(card: ModernScorecard) -> str:

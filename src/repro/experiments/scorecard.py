@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.buffering import buffering_ratio_vs_playout
 from repro.analysis.distributions import cdf, cdf_at, percentile
@@ -28,17 +28,31 @@ from repro.servers.realserver import buffering_ratio
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """One executed claim."""
+class ScoreRow:
+    """One scorecard line: the artifact, what it states (a paper claim
+    or a then-vs-now metric), and its rendered cells.
+
+    A claim row also carries its verdict, shown as a last PASS/FAIL
+    cell; a metric row has none.
+    """
 
     artifact: str
-    claim: str
-    measured: str
-    passed: bool
+    label: str
+    cells: Tuple[str, ...]
+    passed: Optional[bool] = None
 
-    def row(self) -> List[object]:
-        return [self.artifact, self.claim, self.measured,
-                "PASS" if self.passed else "FAIL"]
+    def row(self) -> List[str]:
+        verdict = () if self.passed is None else (
+            "PASS" if self.passed else "FAIL",)
+        return [self.artifact, self.label, *self.cells, *verdict]
+
+
+def render_rows(headers: Sequence[str], rows: Sequence[ScoreRow],
+                footer: str) -> str:
+    """A scorecard as a text table, a blank line, and its footer."""
+    from repro.analysis.report import format_table
+
+    return f"{format_table(headers, [r.row() for r in rows])}\n\n{footer}"
 
 
 Check = Callable[[StudyResults], Tuple[str, bool]]
@@ -247,7 +261,7 @@ def _stability(study):
     return f"{stable}/{len(study)} stable", stable == len(study)
 
 
-def run_scorecard(study: StudyResults) -> List[CheckResult]:
+def run_scorecard(study: StudyResults) -> List[ScoreRow]:
     """Execute every registered claim against a study.
 
     Raises:
@@ -258,17 +272,15 @@ def run_scorecard(study: StudyResults) -> List[CheckResult]:
     results = []
     for artifact, claim, function in _CHECKS:
         measured, passed = function(study)
-        results.append(CheckResult(artifact=artifact, claim=claim,
-                                   measured=measured, passed=passed))
+        results.append(ScoreRow(artifact=artifact, label=claim,
+                                cells=(measured,), passed=passed))
     return results
 
 
-def render_scorecard(results: List[CheckResult]) -> str:
+def render_scorecard(results: List[ScoreRow]) -> str:
     """The scorecard as a text table with a verdict line."""
-    from repro.analysis.report import format_table
-
     passed = sum(1 for r in results if r.passed)
-    table = format_table(("artifact", "claim", "measured", "verdict"),
-                         [r.row() for r in results])
-    return (f"{table}\n\n{passed}/{len(results)} paper claims reproduce"
-            + ("" if passed == len(results) else "  <-- FAILURES"))
+    return render_rows(
+        ("artifact", "claim", "measured", "verdict"), results,
+        f"{passed}/{len(results)} paper claims reproduce"
+        + ("" if passed == len(results) else "  <-- FAILURES"))

@@ -76,6 +76,12 @@ class WatchRule:
         if self.min_baseline < 2:
             raise AnalysisError(
                 f"min-baseline must be >= 2, got {self.min_baseline}")
+        if self.min_baseline > self.window:
+            # The rolling baseline holds at most ``window`` values, so
+            # a larger minimum would silently disable the rule.
+            raise AnalysisError(
+                f"min-baseline ({self.min_baseline}) must be <= window "
+                f"({self.window})")
         if not (math.isfinite(self.min_delta) and self.min_delta >= 0):
             raise AnalysisError(
                 f"min-delta must be >= 0 and finite, got {self.min_delta}")

@@ -107,6 +107,16 @@ class ClipLibrary:
         except KeyError as exc:
             raise MediaError(f"no clip set {number}") from exc
 
+    def only_set(self, number: int) -> "ClipLibrary":
+        """A library holding just set ``number`` of this one.
+
+        Raises:
+            MediaError: if there is no such set.
+        """
+        library = ClipLibrary()
+        library.add_set(self.get_set(number))
+        return library
+
     def __len__(self) -> int:
         return len(self._sets)
 

@@ -83,6 +83,10 @@ class RoutingTable:
         return len(self._entries) + (1 if self._default else 0)
 
 
+#: Seconds between a link event and the rebuilt tables taking effect.
+CONVERGENCE_DELAY = 0.5
+
+
 class RouteManager:
     """Failure-aware re-convergence over a static topology.
 
@@ -106,14 +110,11 @@ class RouteManager:
         nodes: every node whose table the manager owns after the first
             re-convergence; iteration order fixes tie-breaking, so pass
             a deterministically-ordered sequence.
-        convergence_delay: seconds between a link event and the rebuilt
-            tables taking effect.
     """
 
-    def __init__(self, sim, nodes, convergence_delay: float = 0.5) -> None:
+    def __init__(self, sim, nodes) -> None:
         self.sim = sim
         self.nodes = list(nodes)
-        self.convergence_delay = convergence_delay
         self.reconvergences = 0
         self._pending = 0
 
@@ -129,7 +130,7 @@ class RouteManager:
     # last timer fires.
     def _on_link_state(self, link, up: bool) -> None:
         self._pending += 1
-        self.sim.schedule_in(self.convergence_delay, self._reconverge)
+        self.sim.schedule_in(CONVERGENCE_DELAY, self._reconverge)
 
     def _reconverge(self) -> None:
         self._pending -= 1

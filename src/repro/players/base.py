@@ -11,7 +11,6 @@ interleaving batcher; RealTracker cannot observe them at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ProtocolError, SocketError
@@ -46,35 +45,34 @@ DoneCallback = Callable[[PlayerStats], None]
 LATE_TOLERANCE = 0.25
 
 
-@dataclass(frozen=True)
+# The robustness policy's timings (see PlayerRobustness).
+
+#: Seconds between KEEPALIVE probes once the stream is playing.
+KEEPALIVE_INTERVAL = 2.0
+#: Seconds a KEEPALIVE may go unanswered before it counts as a miss.
+REQUEST_TIMEOUT = 4.0
+#: Consecutive misses tolerated before the session is declared lost and
+#: playback closes deterministically.
+MAX_RETRIES = 5
+#: Seconds without any media arrival after which the stall watchdog
+#: ends playback (instead of hanging until the experiment horizon).
+STALL_TIMEOUT = 15.0
+#: Rebuffer re-entry: media seconds that must accumulate after an
+#: underrun before playback resumes (see
+#: :class:`~repro.players.buffer.DelayBuffer`).
+RESUME_THRESHOLD_SECONDS = 2.0
+
+
 class PlayerRobustness:
     """Graceful-degradation policy for a client under faults.
 
     ``None`` on :class:`StreamingClient` (the default) keeps the
-    historical behavior exactly: no keepalives, no watchdog, no extra
-    scheduled events — byte-identical no-fault runs.  The experiment
-    runner passes a policy only when a fault scenario is attached.
-
-    Attributes:
-        keepalive_interval: seconds between KEEPALIVE probes once the
-            stream is playing.
-        request_timeout: seconds a KEEPALIVE may go unanswered before
-            it counts as a miss.
-        max_retries: consecutive misses tolerated before the session is
-            declared lost and playback closes deterministically.
-        stall_timeout: seconds without any media arrival after which
-            the stall watchdog ends playback (instead of hanging until
-            the experiment horizon).
-        resume_threshold_seconds: rebuffer re-entry — media seconds
-            that must accumulate after an underrun before playback
-            resumes (see :class:`~repro.players.buffer.DelayBuffer`).
+    historical behavior exactly: no keepalives, no watchdog, no quality
+    ladder, no extra scheduled events — byte-identical no-fault runs.
+    The experiment runner passes a policy when a fault scenario is
+    attached, and always on the ABR transport.  The policy's timings
+    are the module constants above.
     """
-
-    keepalive_interval: float = 2.0
-    request_timeout: float = 4.0
-    max_retries: int = 5
-    stall_timeout: float = 15.0
-    resume_threshold_seconds: float = 2.0
 
 
 class StreamingClient:
@@ -245,7 +243,7 @@ class StreamingClient:
         telemetry = self.host.sim.telemetry
         self._telemetry = telemetry
         self._spans = telemetry.spans if telemetry is not None else None
-        resume_threshold = (self.robustness.resume_threshold_seconds
+        resume_threshold = (RESUME_THRESHOLD_SECONDS
                             if self.robustness is not None else None)
         self.buffer = DelayBuffer(self.preroll_seconds, telemetry=telemetry,
                                   label=self.family.name.lower(),
@@ -485,10 +483,8 @@ class StreamingClient:
     def _start_robustness(self) -> None:
         if self.robustness is None:
             return
-        self.host.sim.schedule_in(self.robustness.keepalive_interval,
-                                  self._keepalive_tick)
-        self.host.sim.schedule_in(self.robustness.stall_timeout,
-                                  self._watchdog_tick)
+        self.host.sim.schedule_in(KEEPALIVE_INTERVAL, self._keepalive_tick)
+        self.host.sim.schedule_in(STALL_TIMEOUT, self._watchdog_tick)
 
     def _keepalive_tick(self) -> None:
         if self.done:
@@ -500,10 +496,9 @@ class StreamingClient:
             # Control connection is dead; the check below counts it
             # like an unanswered probe.
             pass
-        self.host.sim.schedule_in(self.robustness.request_timeout,
-                                  self._keepalive_check, sent_at)
-        self.host.sim.schedule_in(self.robustness.keepalive_interval,
-                                  self._keepalive_tick)
+        self.host.sim.schedule_in(REQUEST_TIMEOUT, self._keepalive_check,
+                                  sent_at)
+        self.host.sim.schedule_in(KEEPALIVE_INTERVAL, self._keepalive_tick)
 
     def _keepalive_check(self, sent_at: float) -> None:
         if self.done:
@@ -516,7 +511,7 @@ class StreamingClient:
             self._telemetry.emit(KEEPALIVE_MISS,
                                  player=self.family.name.lower(),
                                  misses=self._keepalive_misses)
-        if self._keepalive_misses > self.robustness.max_retries:
+        if self._keepalive_misses > MAX_RETRIES:
             self._session_lost()
 
     def _session_lost(self) -> None:
@@ -541,9 +536,9 @@ class StreamingClient:
         last = (self._last_media_at if self._last_media_at is not None
                 else self._requested_at)
         idle = self.host.sim.now - last
-        timeout = self.robustness.stall_timeout
-        if idle < timeout:
-            self.host.sim.schedule_in(timeout - idle, self._watchdog_tick)
+        if idle < STALL_TIMEOUT:
+            self.host.sim.schedule_in(STALL_TIMEOUT - idle,
+                                      self._watchdog_tick)
             return
         self.stalled = True
         if self._telemetry is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.errors import AnalysisError, MediaError
+from repro.errors import AnalysisError
 from repro.players.stats import PlayerStats
 from repro.telemetry.events import QUALITY_DOWNSHIFT, QUALITY_UPSHIFT
 
@@ -69,49 +69,41 @@ class QualityReport:
                 f"missing frames, {self.rebuffer_events} rebuffers)")
 
 
+#: The client's quality ladder: rate scales, best first (mirrors the
+#: server's :class:`~repro.servers.scaling.MediaScalingPolicy` ladder).
+QUALITY_LEVELS: Tuple[float, ...] = (1.0, 0.8, 0.6, 0.45, 0.3)
+#: Interval loss fraction at or above which the controller steps down.
+DOWN_LOSS = 0.05
+#: Loss must stay at or below this for :data:`UP_HOLD` seconds before
+#: the controller steps back up (the hysteresis gap: ``UP_LOSS <
+#: DOWN_LOSS`` keeps the two edges apart).
+UP_LOSS = 0.01
+#: Seconds of sustained clean reception required for an upshift.
+UP_HOLD = 8.0
+#: Minimum seconds between two downshifts, so one burst cannot ride the
+#: ladder all the way to the floor.
+COOLDOWN = 4.0
+
+
 class QualityController:
     """Client-side quality ladder with downshift/upshift hysteresis.
 
     The products of the paper degrade gracefully under turbulence —
     SureStream drops to a thinner sub-encoding, WMS thins streams —
     and recover conservatively.  This controller models the *player's*
-    view of that ladder: fed one observation per feedback interval, it
-    steps down quickly (sustained loss or a rebuffer) and back up only
-    after the path has stayed clean for a hold period, so a flapping
-    link cannot make quality oscillate every interval.
+    view of that ladder (:data:`QUALITY_LEVELS`): fed one observation
+    per feedback interval, it steps down quickly (sustained loss or a
+    rebuffer) and back up only after the path has stayed clean for a
+    hold period, so a flapping link cannot make quality oscillate every
+    interval.
 
     Args:
-        levels: rate-scale ladder, best first (mirrors the server's
-            :class:`~repro.servers.scaling.MediaScalingPolicy` ladder).
-        down_loss: interval loss fraction at or above which the
-            controller steps down one level.
-        up_loss: loss must stay at or below this for ``up_hold``
-            seconds before stepping back up (the hysteresis gap —
-            ``up_loss < down_loss`` keeps the two edges apart).
-        up_hold: seconds of sustained clean reception required for an
-            upshift.
-        cooldown: minimum seconds between two downshifts, so one burst
-            cannot ride the ladder all the way to the floor.
         telemetry: optional facade; shifts emit ``quality_downshift`` /
             ``quality_upshift`` trace events.
         label: ``player`` label on those events.
     """
 
-    def __init__(self, levels: Tuple[float, ...] = (1.0, 0.8, 0.6, 0.45, 0.3),
-                 down_loss: float = 0.05, up_loss: float = 0.01,
-                 up_hold: float = 8.0, cooldown: float = 4.0,
-                 telemetry=None, label: str = "") -> None:
-        if not levels:
-            raise MediaError("quality ladder cannot be empty")
-        if any(not 0.0 < level <= 1.0 for level in levels):
-            raise MediaError(f"quality levels must be in (0, 1]: {levels}")
-        if up_loss >= down_loss:
-            raise MediaError("hysteresis requires up_loss < down_loss")
-        self.levels = tuple(levels)
-        self.down_loss = down_loss
-        self.up_loss = up_loss
-        self.up_hold = up_hold
-        self.cooldown = cooldown
+    def __init__(self, telemetry=None, label: str = "") -> None:
         self.level_index = 0
         self.downshifts = 0
         self.upshifts = 0
@@ -123,18 +115,18 @@ class QualityController:
     def observe(self, now: float, loss_fraction: float,
                 rebuffering: bool = False) -> None:
         """Feed one feedback interval's reception quality."""
-        degraded = rebuffering or loss_fraction >= self.down_loss
+        degraded = rebuffering or loss_fraction >= DOWN_LOSS
         if degraded:
             self._clean_since = None
-            if (self.level_index + 1 < len(self.levels)
+            if (self.level_index + 1 < len(QUALITY_LEVELS)
                     and (self._last_downshift is None
-                         or now - self._last_downshift >= self.cooldown)):
+                         or now - self._last_downshift >= COOLDOWN)):
                 self._shift(now, self.level_index + 1, QUALITY_DOWNSHIFT,
                             loss_fraction, rebuffering)
                 self._last_downshift = now
                 self.downshifts += 1
             return
-        if loss_fraction > self.up_loss:
+        if loss_fraction > UP_LOSS:
             # Between the edges: neither clean enough to climb nor bad
             # enough to fall — the hysteresis dead band.
             self._clean_since = None
@@ -144,7 +136,7 @@ class QualityController:
         if self._clean_since is None:
             self._clean_since = now
             return
-        if now - self._clean_since >= self.up_hold:
+        if now - self._clean_since >= UP_HOLD:
             self._shift(now, self.level_index - 1, QUALITY_UPSHIFT,
                         loss_fraction, rebuffering)
             self.upshifts += 1
@@ -152,13 +144,13 @@ class QualityController:
 
     def _shift(self, now: float, new_index: int, event_type: str,
                loss_fraction: float, rebuffering: bool) -> None:
-        old = self.levels[self.level_index]
+        old = QUALITY_LEVELS[self.level_index]
         self.level_index = new_index
         if self._telemetry is not None:
             self._telemetry.bus.emit(
                 event_type, now, player=self._label,
                 from_level=round(old, 6),
-                to_level=round(self.levels[new_index], 6),
+                to_level=round(QUALITY_LEVELS[new_index], 6),
                 loss_fraction=round(loss_fraction, 6),
                 rebuffering=rebuffering)
 

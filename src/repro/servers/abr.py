@@ -182,10 +182,10 @@ class AbrServer(StreamingServer):
 
     def __init__(self, host, family: PlayerFamily,
                  config: Optional[AbrConfig] = None,
-                 control_port: int = RTSP_PORT, codec=None) -> None:
+                 control_port: int = RTSP_PORT) -> None:
         self.family = family
         self.config = config or AbrConfig()
-        super().__init__(host, control_port=control_port, codec=codec)
+        super().__init__(host, control_port=control_port)
 
     def _make_pacer(self, session: ServerSession) -> Pacer:
         pacer = AbrLadderPacer(

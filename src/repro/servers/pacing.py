@@ -365,6 +365,19 @@ def wms_packetization(encoded_bps: float,
     return small_adu_bytes, interval
 
 
+def draw_wms_packetization(encoded_bps: float,
+                           rng: random.Random) -> Tuple[int, float]:
+    """One clip's (ADU size, tick interval), its small-ADU size drawn
+    from ``rng``.
+
+    The small-ADU size is constant within a clip but differs between
+    clips (the paper: "the size of the last fragment is different for
+    each clip but is the same within each clip").
+    """
+    small_adu = rng.randint(WMS_MIN_ADU_BYTES, WMS_MAX_SMALL_ADU_BYTES)
+    return wms_packetization(encoded_bps, small_adu)
+
+
 class CbrAduPacer(Pacer):
     """Windows Media pacing: constant ADU, constant tick, no burst."""
 
@@ -372,13 +385,8 @@ class CbrAduPacer(Pacer):
                  dst_port: int, clip: Clip, schedule: FrameSchedule,
                  rng: Optional[random.Random] = None) -> None:
         super().__init__(sim, socket, dst, dst_port, clip, schedule)
-        rng = rng or random.Random(0)
-        # The small-ADU size is constant within a clip but differs
-        # between clips (the paper: "the size of the last fragment is
-        # different for each clip but is the same within each clip").
-        small_adu = rng.randint(WMS_MIN_ADU_BYTES, WMS_MAX_SMALL_ADU_BYTES)
-        self.adu_bytes, self.tick_interval = wms_packetization(
-            clip.encoded_bps, small_adu)
+        self.adu_bytes, self.tick_interval = draw_wms_packetization(
+            clip.encoded_bps, rng or random.Random(0))
 
     def _next_send(self) -> Optional[Tuple[int, float]]:
         if self.media_bytes_remaining <= 0:
@@ -411,6 +419,27 @@ def real_mean_packet_bytes(encoded_kbps: float) -> int:
                    min(mean, REAL_MAX_PACKET_BYTES * 0.75)))
 
 
+def real_packet_bytes(rng: random.Random, mean_packet_bytes: int) -> int:
+    """Draw one RealServer packet size.
+
+    A two-component mixture spreading ~0.6-1.8x the mean, with an
+    asymmetric upper tail (Figure 7's normalized PDF), clamped to the
+    sub-MTU packet range.
+    """
+    if rng.random() < 0.72:
+        factor = rng.uniform(0.60, 1.30)
+    else:
+        factor = rng.uniform(1.30, 1.80)
+    size = int(round(mean_packet_bytes * factor))
+    return max(REAL_MIN_PACKET_BYTES, min(size, REAL_MAX_PACKET_BYTES))
+
+
+#: Gamma shape for RealServer interarrival jitter; shape 4 gives a
+#: coefficient of variation of 0.5 — visibly spread, never wildly
+#: heavy-tailed.
+REAL_INTERARRIVAL_SHAPE = 4.0
+
+
 class BurstThenSteadyPacer(Pacer):
     """RealServer pacing: burst at ``ratio × rate`` for the buffering
     phase, then the playout rate; sizes spread ~0.6–1.8× the mean.
@@ -421,10 +450,6 @@ class BurstThenSteadyPacer(Pacer):
             burst also ends early if the clip runs out of bytes.
         rng: random source for size/interval draws (seeded per session).
     """
-
-    #: Gamma shape for interarrival jitter; shape 4 gives a coefficient
-    #: of variation of 0.5 — visibly spread, never wildly heavy-tailed.
-    INTERARRIVAL_SHAPE = 4.0
 
     def __init__(self, sim: Simulator, socket: UdpSocket, dst: IPAddress,
                  dst_port: int, clip: Clip, schedule: FrameSchedule,
@@ -452,17 +477,6 @@ class BurstThenSteadyPacer(Pacer):
             return base * self.burst_ratio
         return base
 
-    def _draw_size(self) -> int:
-        # A two-component mixture spreading ~0.6-1.8x the mean, with an
-        # asymmetric upper tail (Figure 7's normalized PDF).
-        if self._rng.random() < 0.72:
-            factor = self._rng.uniform(0.60, 1.30)
-        else:
-            factor = self._rng.uniform(1.30, 1.80)
-        size = int(round(self.mean_packet_bytes * factor))
-        return max(REAL_MIN_PACKET_BYTES,
-                   min(size, REAL_MAX_PACKET_BYTES))
-
     def _next_send(self) -> Optional[Tuple[int, float]]:
         if self.media_bytes_remaining <= 0:
             return None
@@ -474,9 +488,9 @@ class BurstThenSteadyPacer(Pacer):
                                      reason="burst_end",
                                      from_ratio=round(self.burst_ratio, 6),
                                      to_ratio=1.0)
-        size = self._draw_size()
+        size = real_packet_bytes(self._rng, self.mean_packet_bytes)
         rate = self.current_rate_bps()
         mean_gap = size * 8.0 / rate
-        shape = self.INTERARRIVAL_SHAPE
+        shape = REAL_INTERARRIVAL_SHAPE
         gap = self._rng.gammavariate(shape, mean_gap / shape)
         return size, gap

@@ -22,7 +22,7 @@ import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.capture import serialize
 from repro.experiments.cache import (
@@ -31,7 +31,7 @@ from repro.experiments.cache import (
     _disk_load,
     _disk_store,
 )
-from repro.experiments.runner import StudyResults, run_spec
+from repro.experiments.runner import PairRunResult, StudyResults, run_spec
 from repro.experiments.spec import RunSpec
 from repro.players import logging as tracker_logging
 from repro.telemetry.core import Telemetry
@@ -57,34 +57,45 @@ def _fresh_telemetry(spec: Optional[RunSpec] = None) -> Telemetry:
     return Telemetry(sinks=[MemorySink(capacity=None)], spans=spans)
 
 
+def run_surface(run: PairRunResult) -> Dict[str, str]:
+    """One pair run's observables as text, keyed by surface name.
+
+    The uid-free trace CSV, both tracker logs, and the experiment
+    metadata (set, band, clips, servers, conditions, ping RTTs, tracert
+    hops, stability verdict).  :func:`study_surface` digests these; the
+    fast-path equivalence harness compares them undigested, so a
+    failure there stays diffable.
+    """
+    return {
+        "trace": serialize.dumps(run.trace),
+        "stats": (tracker_logging.dumps(run.real_stats)
+                  + tracker_logging.dumps(run.wmp_stats)),
+        "meta": repr((run.set_number, run.genre, run.band,
+                      run.conditions, run.real_clip, run.wmp_clip,
+                      str(run.real_server), str(run.wmp_server),
+                      run.ping_before, run.ping_after,
+                      run.tracert, run.tracert_after, run.stability)),
+    }
+
+
 def study_surface(study: StudyResults,
                   telemetry: Optional[Telemetry] = None) -> Dict[str, str]:
     """Digest every observable of a study, keyed by surface name.
 
-    Per pair run: the uid-free trace CSV, both tracker logs, and the
-    experiment metadata (conditions, ping RTTs, tracert hops, stability
-    verdict).  Study-wide, when a telemetry facade is supplied: the
-    canonical summary JSON, the encoded event stream, and the span
-    forest export.  Cache round-trips carry runs (plus any streaming
-    summary) only, so their surfaces simply lack the ``telemetry.*``
-    keys; the ``streaming.summary`` surface rides wherever the study's
-    online fold does — including through the pickle round-trip.
+    Per pair run: :func:`run_surface`, as ``run[<label>].<surface>``.
+    Study-wide, when a telemetry facade is supplied: the canonical
+    summary JSON, the encoded event stream, and the span forest
+    export.  Cache round-trips carry runs (plus any streaming summary)
+    only, so their surfaces simply lack the ``telemetry.*`` keys; the
+    ``streaming.summary`` surface rides wherever the study's online
+    fold does — including through the pickle round-trip.
     """
     surfaces: Dict[str, str] = {}
     if study.streaming is not None:
         surfaces["streaming.summary"] = _digest(study.streaming.to_json())
     for run in study:
-        label = run.label
-        surfaces[f"run[{label}].trace"] = _digest(serialize.dumps(run.trace))
-        surfaces[f"run[{label}].stats"] = _digest(
-            tracker_logging.dumps(run.real_stats)
-            + tracker_logging.dumps(run.wmp_stats))
-        meta = repr((run.set_number, run.genre, run.band,
-                     run.conditions, run.real_clip, run.wmp_clip,
-                     str(run.real_server), str(run.wmp_server),
-                     run.ping_before, run.ping_after,
-                     run.tracert, run.tracert_after, run.stability))
-        surfaces[f"run[{label}].meta"] = _digest(meta)
+        for name, text in run_surface(run).items():
+            surfaces[f"run[{run.label}].{name}"] = _digest(text)
     if telemetry is not None:
         surfaces["telemetry.summary"] = _digest(to_json(telemetry))
         surfaces["telemetry.events"] = _digest(
@@ -93,6 +104,38 @@ def study_surface(study: StudyResults,
         if telemetry.spans is not None:
             surfaces["telemetry.spans"] = _digest(spans_jsonl(telemetry.spans))
     return surfaces
+
+
+def _brief(value: object) -> str:
+    """A sha256 hex digest's first 12 digits; any other value's repr."""
+    if isinstance(value, str) and len(value) == 64:
+        return value[:12]
+    return repr(value)
+
+
+def diff_surfaces(expected: Mapping[str, object],
+                  actual: Mapping[str, object], against: str,
+                  partial: bool = False) -> List[str]:
+    """Every key where ``actual`` disagrees with ``expected``, one line
+    each, in key order; empty when they agree.
+
+    ``against`` names the side ``expected`` came from (``sequential``,
+    ``golden``).  A key only ``expected`` has is reported missing
+    unless ``partial`` (a cache round trip carries no ``telemetry.*``
+    surfaces); a key only ``actual`` has is always reported.
+    """
+    lines: List[str] = []
+    for key in sorted(set(expected) | set(actual)):
+        if key not in actual:
+            if not partial:
+                lines.append(f"{key}: missing, {against} has "
+                             f"{_brief(expected[key])}")
+        elif key not in expected:
+            lines.append(f"{key}: {_brief(actual[key])}, {against} has none")
+        elif actual[key] != expected[key]:
+            lines.append(f"{key}: {_brief(actual[key])} != {against} "
+                         f"{_brief(expected[key])}")
+    return lines
 
 
 @dataclass
@@ -122,27 +165,6 @@ class DifferentialReport:
                          f"{'s' if len(self.divergences) != 1 else ''}:")
             lines.extend(f"  ! {entry}" for entry in self.divergences)
         return "\n".join(lines)
-
-
-def _compare(report: DifferentialReport, name: str,
-             reference: Dict[str, str], candidate: Dict[str, str],
-             require_all: bool) -> None:
-    """Record every surface where ``candidate`` disagrees with the
-    sequential reference.  ``require_all`` also flags surfaces the
-    candidate should have produced but did not."""
-    for key in sorted(reference):
-        if key not in candidate:
-            if require_all:
-                report.divergences.append(f"{name}: surface {key} missing")
-            continue
-        if candidate[key] != reference[key]:
-            report.divergences.append(
-                f"{name}: {key} digest {candidate[key][:12]} != "
-                f"sequential {reference[key][:12]}")
-    for key in sorted(candidate):
-        if key not in reference:
-            report.divergences.append(
-                f"{name}: unexpected extra surface {key}")
 
 
 def run_differential(spec: RunSpec, jobs: int = 2) -> DifferentialReport:
@@ -191,7 +213,9 @@ def run_differential(spec: RunSpec, jobs: int = 2) -> DifferentialReport:
                          min_parallel_runs=0)
     parallel = study_surface(study_par, telemetry_par)
     report.legs["parallel"] = parallel
-    _compare(report, "parallel", reference, parallel, require_all=True)
+    report.divergences.extend(
+        f"parallel: {line}"
+        for line in diff_surfaces(reference, parallel, "sequential"))
 
     # Cache leg: push the sequential sweep through the disk layer's
     # pickle round-trip in an isolated directory so the user's real
@@ -221,5 +245,8 @@ def run_differential(spec: RunSpec, jobs: int = 2) -> DifferentialReport:
         # Cache entries carry runs and the streaming summary but no
         # telemetry facade; compare what round-tripped and let the
         # telemetry.* keys pass.
-        _compare(report, "cache", reference, cached, require_all=False)
+        report.divergences.extend(
+            f"cache: {line}"
+            for line in diff_surfaces(reference, cached, "sequential",
+                                      partial=True))
     return report

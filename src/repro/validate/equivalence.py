@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.experiments.conditions import NetworkConditions
 from repro.experiments.runner import PairRunResult, run_pair_experiment
 from repro.netsim.flowlevel import FlowLevelConfig
-from repro.players import logging as tracker_logging
-from repro.capture import serialize
+from repro.validate.differential import run_surface
 
 #: Relative tolerance for count/byte metrics in tolerant legs.
 COUNT_REL_TOL = 0.02
@@ -102,19 +101,6 @@ def default_grid(jitter_std: float = 0.0004) -> Tuple[ConditionCase, ...]:
 
 
 DEFAULT_GRID: Tuple[ConditionCase, ...] = default_grid()
-
-
-def pair_surface(result: PairRunResult) -> Dict[str, str]:
-    """The per-run differential surfaces, uncompressed (no digest) so
-    a mismatch is diffable in a test failure."""
-    return {
-        "trace": serialize.dumps(result.trace),
-        "stats": (tracker_logging.dumps(result.real_stats)
-                  + tracker_logging.dumps(result.wmp_stats)),
-        "meta": repr((result.conditions, result.ping_before,
-                      result.ping_after, result.tracert,
-                      result.tracert_after, result.stability)),
-    }
 
 
 def player_metrics(stats) -> Dict[str, float]:
@@ -228,8 +214,8 @@ def check_case(case: ConditionCase, clip_set, pair,
     if case.exact and summary.reals_parked == 0:
         # Nothing real ever waited out a committed train, so every
         # accepted schedule was provably exact: demand byte-identity.
-        fast_surface = pair_surface(fast)
-        slow_surface = pair_surface(slow)
+        fast_surface = run_surface(fast)
+        slow_surface = run_surface(slow)
         for key in fast_surface:
             if fast_surface[key] != slow_surface[key]:
                 result.mismatches.append(

@@ -30,10 +30,13 @@ from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import RunSpec
 from repro.faults.scenario import build_scenario
-from repro.media.library import ClipLibrary
 from repro.netsim.flowlevel import FlowLevelConfig
 from repro.repair.base import RepairConfig
-from repro.validate.differential import _fresh_telemetry, study_surface
+from repro.validate.differential import (
+    _fresh_telemetry,
+    diff_surfaces,
+    study_surface,
+)
 
 #: Schema marker inside every golden file; bump on format changes so a
 #: stale checkout fails loudly instead of diffing apples to oranges.
@@ -124,10 +127,8 @@ def golden_path(name: str, directory: Optional[Path] = None) -> Path:
 def _golden_spec(scenario: GoldenScenario) -> RunSpec:
     """The streamed one-set study a golden scenario pins."""
     full = build_table1_library(duration_scale=scenario.duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(scenario.set_number))
     return RunSpec(
-        library=library, seed=scenario.seed,
+        library=full.only_set(scenario.set_number), seed=scenario.seed,
         duration_scale=scenario.duration_scale,
         scenario=(build_scenario(scenario.fault, scenario.seed)
                   if scenario.fault is not None else None),
@@ -174,9 +175,17 @@ def load_golden(path: Path) -> Dict[str, object]:
     return json.loads(path.read_text())
 
 
+#: The document fields that define a scenario; a change in any of
+#: them is drift in the definition, not a behavioral regression.
+_HEADER_FIELDS = ("schema", "scenario", "seed", "set_number",
+                  "duration_scale", "fault", "cc", "abr", "repair",
+                  "fast_path")
+
+
 def compare_golden(expected: Dict[str, object],
                    actual: Dict[str, object]) -> List[str]:
-    """Every way ``actual`` disagrees with the checked-in ``expected``.
+    """Every way ``actual`` disagrees with the checked-in ``expected``:
+    the scenario's parameters first, then its surface digests.
 
     Returns an empty list when the run still matches its golden.  A
     non-empty result means either a regression or an intentional
@@ -184,27 +193,12 @@ def compare_golden(expected: Dict[str, object],
 
         python scripts/update_goldens.py   # inspect the diff, commit
     """
-    mismatches: List[str] = []
-    for field in ("schema", "scenario", "seed", "set_number",
-                  "duration_scale", "fault", "cc", "abr", "repair",
-                  "fast_path"):
-        if expected.get(field) != actual.get(field):
-            mismatches.append(
-                f"{field}: golden has {expected.get(field)!r}, "
-                f"run produced {actual.get(field)!r}")
-    expected_digests = expected.get("digests", {})
-    actual_digests = actual.get("digests", {})
-    for key in sorted(expected_digests):
-        if key not in actual_digests:
-            mismatches.append(f"surface {key} missing from the run")
-        elif actual_digests[key] != expected_digests[key]:
-            mismatches.append(
-                f"{key}: digest {actual_digests[key][:12]} != golden "
-                f"{expected_digests[key][:12]}")
-    for key in sorted(actual_digests):
-        if key not in expected_digests:
-            mismatches.append(f"surface {key} not pinned in the golden")
-    return mismatches
+    def header(document: Dict[str, object]) -> Dict[str, object]:
+        return {name: document.get(name) for name in _HEADER_FIELDS}
+
+    return (diff_surfaces(header(expected), header(actual), "golden")
+            + diff_surfaces(expected.get("digests", {}),
+                            actual.get("digests", {}), "golden"))
 
 
 def check_golden(scenario: GoldenScenario,

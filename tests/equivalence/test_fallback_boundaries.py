@@ -26,7 +26,6 @@ from repro.faults import (
     build_scenario,
 )
 from repro.faults.scenario import SET_BANDWIDTH, SET_DELAY
-from repro.media.library import ClipLibrary
 from repro.netsim.addressing import IPAddress
 from repro.netsim.crosstraffic import OnOffParetoSource
 from repro.netsim.engine import Simulator
@@ -194,9 +193,7 @@ class TestFaultScenarioWindows:
     @pytest.mark.parametrize("name", ["link-flap", "degrade", "burst-loss",
                                       "congestion-surge"])
     def test_faulted_sweep_falls_back_inside_windows(self, name):
-        full = build_table1_library(duration_scale=0.12)
-        library = ClipLibrary()
-        library.add_set(full.get_set(3))
+        library = build_table1_library(duration_scale=0.12).only_set(3)
         validator = RunValidator(raise_on_violation=False)
         study = run_study(library=library, seed=424, duration_scale=0.12,
                           scenario=build_scenario(name, 424),

@@ -15,7 +15,6 @@ from repro.cc.abr import DEFAULT_RUNGS, AbrConfig, choose_rung
 from repro.errors import ReproError
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import run_study
-from repro.media.library import ClipLibrary
 from repro.telemetry import MemorySink, Telemetry
 from repro.telemetry.events import ABR_SEGMENT, ABR_SWITCH
 from repro.validate import RunValidator
@@ -31,10 +30,8 @@ FAST_LADDER = AbrConfig(segment_seconds=1.0, low_water=0.5,
 
 
 def one_set_library(set_number=3, duration_scale=0.12):
-    full = build_table1_library(duration_scale=duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(set_number))
-    return library
+    return build_table1_library(
+        duration_scale=duration_scale).only_set(set_number)
 
 
 class TestAbrConfig:

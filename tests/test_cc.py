@@ -32,7 +32,6 @@ from repro.cc.null import NullCongestionControl
 from repro.errors import ReproError
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import PARALLEL_MIN_RUNS, run_study
-from repro.media.library import ClipLibrary
 from repro.telemetry import MemorySink, Telemetry
 from repro.telemetry.events import CC_STATE
 from repro.validate.differential import _fresh_telemetry, study_surface
@@ -42,10 +41,8 @@ SCALE = 0.06
 
 
 def one_set_library(set_number=3, duration_scale=SCALE):
-    full = build_table1_library(duration_scale=duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(set_number))
-    return library
+    return build_table1_library(
+        duration_scale=duration_scale).only_set(set_number)
 
 
 class TestAimdController:

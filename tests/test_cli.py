@@ -442,6 +442,7 @@ class TestWatchCommand:
         (["--min-delta", "nan"], "min-delta"),
         (["--min-delta", "inf"], "min-delta"),
         (["--idle-timeout", "nan"], "--idle-timeout"),
+        (["--window", "4", "--min-baseline", "5"], "min-baseline"),
     ])
     def test_bad_knobs_exit_two(self, tmp_path, argv, needle, capsys):
         path = self._write(tmp_path, [0.01])

@@ -1,6 +1,8 @@
 """Core-package tests: profiles, fitting, Section IV flow models."""
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,26 @@ class TestSyntheticFlow:
         first = generate_flow(PlayerFamily.REAL, 100.0, 20.0, seed=9)
         second = generate_flow(PlayerFamily.REAL, 100.0, 20.0, seed=9)
         assert first.events == second.events
+
+    @pytest.mark.parametrize("family, kbps, packets, digest", [
+        (PlayerFamily.WMP, 49.8, 134, "176372354d3f1468af9d931439c2fc28"
+                                      "19bf99d8c082824f40adc46f0f5d41a4"),
+        (PlayerFamily.WMP, 307.2, 600, "48ce960254ac9d1b5cce731850c32f41"
+                                       "748d3d2a99ff2e95b4a52f2c274a7db3"),
+        (PlayerFamily.REAL, 36.0, 175, "ddc0f170984251fcbb15b93e89f4e8a4"
+                                       "5a2516b5f628190873c7efb4e714b45b"),
+        (PlayerFamily.REAL, 284.0, 890, "2abf772180b1b8df8e6a6dbb393a77b0"
+                                        "bbfb7fff4938ab4dc9cfee152619683e"),
+    ])
+    def test_generated_flow_is_pinned(self, family, kbps, packets, digest):
+        # Every event field of a seeded flow, at one low and one high
+        # rate per product: the Section IV models share their size and
+        # interval draws with the in-simulator pacers, and this holds
+        # those draws (values and RNG order) to history.
+        flow = generate_flow(family, kbps, 20.0, seed=11)
+        fields = repr([astuple(event) for event in flow.events])
+        assert flow.packet_count == packets
+        assert hashlib.sha256(fields.encode()).hexdigest() == digest
 
     def test_invalid_duration_rejected(self):
         with pytest.raises(MediaError):

@@ -208,12 +208,8 @@ class TestStudyCache:
 
     @staticmethod
     def one_set_library(set_number, duration_scale=0.04):
-        from repro.media.library import ClipLibrary
-
-        full = build_table1_library(duration_scale=duration_scale)
-        library = ClipLibrary()
-        library.add_set(full.get_set(set_number))
-        return library
+        return build_table1_library(
+            duration_scale=duration_scale).only_set(set_number)
 
     def test_fingerprint_is_stable_and_content_sensitive(self):
         a = self.one_set_library(1)

@@ -33,7 +33,6 @@ from repro.faults import (
     recovery_report,
     scenario_names,
 )
-from repro.media.library import ClipLibrary
 from repro.telemetry import MemorySink, Telemetry
 from repro.telemetry.events import (
     FAULT_INJECTED,
@@ -48,10 +47,8 @@ SEED = 2002
 
 
 def one_set_library(set_number, duration_scale=0.03):
-    full = build_table1_library(duration_scale=duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(set_number))
-    return library
+    return build_table1_library(
+        duration_scale=duration_scale).only_set(set_number)
 
 
 def traced_pair_run(scenario, duration_scale=0.25, seed=SEED):

@@ -1,9 +1,11 @@
 """Golden-trace regression suite: the checked-in digests must hold."""
 
 import json
+import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.validate import GOLDEN_SCENARIOS, check_golden, compute_golden
 from repro.validate.golden import (
     compare_golden,
@@ -74,3 +76,33 @@ class TestGoldenMachinery:
     def test_default_dir_is_the_repo_checkout(self):
         assert default_golden_dir().name == "golden"
         assert default_golden_dir().parent.name == "tests"
+
+
+class TestGoldenCli:
+    """`repro validate --golden`'s exit contract, narrowed to one
+    scenario whose golden is copied to a scratch directory."""
+
+    @pytest.fixture
+    def baseline_copy(self, monkeypatch, tmp_path):
+        name = "baseline_pair"
+        shutil.copy(golden_path(name), tmp_path)
+        monkeypatch.setattr("repro.validate.GOLDEN_SCENARIOS",
+                            {name: GOLDEN_SCENARIOS[name]})
+        monkeypatch.setattr("repro.validate.golden.default_golden_dir",
+                            lambda: tmp_path)
+        return golden_path(name, tmp_path)
+
+    def test_checked_in_golden_exits_zero(self, baseline_copy, capsys):
+        assert main(["validate", "--golden"]) == 0
+        assert capsys.readouterr().out == "golden baseline_pair: ok\n"
+
+    def test_tampered_digest_exits_one_naming_it(self, baseline_copy,
+                                                 capsys):
+        document = load_golden(baseline_copy)
+        surface = sorted(document["digests"])[0]
+        document["digests"][surface] = "0" * 64
+        write_golden(document, baseline_copy)
+        assert main(["validate", "--golden"]) == 1
+        out = capsys.readouterr().out
+        assert "golden baseline_pair: 1 mismatch\n" in out
+        assert f"! {surface}: " in out

@@ -186,6 +186,10 @@ class TestLibrary:
         assert library.clip_count == 4
         assert len(library.all_clips(PlayerFamily.REAL)) == 2
         assert len(library.all_pairs()) == 2
+        only = library.only_set(2)
+        assert [s.number for s in only] == [2]
+        assert only.get_set(2) is library.get_set(2)
+        assert len(library) == 2
 
     def test_library_duplicate_set_rejected(self):
         library = ClipLibrary()
@@ -196,3 +200,5 @@ class TestLibrary:
     def test_library_missing_set_raises(self):
         with pytest.raises(MediaError):
             ClipLibrary().get_set(4)
+        with pytest.raises(MediaError):
+            ClipLibrary().only_set(4)

@@ -32,7 +32,6 @@ from repro.experiments.runner import (
     study_conditions,
 )
 from repro.experiments.spec import RunSpec
-from repro.media.library import ClipLibrary
 from repro.netsim.engine import Simulator
 from repro.telemetry import (
     MemorySink,
@@ -179,10 +178,8 @@ class TestTelemetryMergeParity:
 
 
 def one_set_library(set_number, duration_scale=0.03):
-    full = build_table1_library(duration_scale=duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(set_number))
-    return library
+    return build_table1_library(
+        duration_scale=duration_scale).only_set(set_number)
 
 
 @pytest.fixture

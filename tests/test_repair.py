@@ -27,7 +27,6 @@ from repro.experiments.spec import RunSpec
 from repro.faults import build_scenario, recovery_report
 from repro.media.codec import SyntheticCodec
 from repro.media.gop import annotate_gops, decode_deadline, frame_value_map
-from repro.media.library import ClipLibrary
 from repro.netsim.engine import Simulator
 from repro.netsim.headers import PayloadMeta
 from repro.repair import (
@@ -62,10 +61,7 @@ REPAIR_EVENTS = (FEC_PARITY_SENT, NACK_SENT, RETRANSMIT_SENT,
 
 
 def one_set_library(number=3, scale=0.04):
-    full = build_table1_library(duration_scale=scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(number))
-    return library
+    return build_table1_library(duration_scale=scale).only_set(number)
 
 
 def repair_study(scale=0.12, fault="burst-loss", config=None, jobs=1,

@@ -34,7 +34,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import COMPATIBILITY, RunSpec, check_compatible
 from repro.faults import build_scenario
-from repro.media.library import ClipLibrary
 from repro.netsim.flowlevel import FlowLevelConfig
 from repro.repair import RepairConfig
 from repro.telemetry import SpanRecorder, Telemetry
@@ -69,10 +68,8 @@ PAIR_RUN_CASES = [(pair, reason) for pair, reason in COMPATIBILITY
 
 
 def one_set_library(set_number, duration_scale=0.03):
-    full = build_table1_library(duration_scale=duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(set_number))
-    return library
+    return build_table1_library(
+        duration_scale=duration_scale).only_set(set_number)
 
 
 class TestCompatibilityTable:

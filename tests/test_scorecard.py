@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.runner import StudyResults, run_study
 from repro.experiments.scorecard import (
-    CheckResult,
+    ScoreRow,
     render_scorecard,
     run_scorecard,
 )
@@ -31,10 +31,11 @@ class TestScorecardMechanics:
         assert {"fig01", "fig05", "fig11", "fig14", "core",
                 "method"} <= artifacts
         for result in results:
-            assert result.measured  # every check reports a measurement
+            (measured,) = result.cells
+            assert measured  # every check reports a measurement
 
     def test_core_claims_hold_even_at_reduced_scale(self, study):
-        results = {r.claim: r for r in run_scorecard(study)}
+        results = {r.label: r for r in run_scorecard(study)}
         for claim in ("Real never fragments",
                       "no WMP fragmentation below 100 Kbps",
                       "~66% WMP fragmentation near 300 Kbps",
@@ -51,8 +52,8 @@ class TestScorecardMechanics:
         assert "PASS" in text
 
     def test_render_flags_failures(self):
-        results = [CheckResult(artifact="x", claim="c", measured="m",
-                               passed=False)]
+        results = [ScoreRow(artifact="x", label="c", cells=("m",),
+                            passed=False)]
         text = render_scorecard(results)
         assert "FAILURES" in text
         assert "FAIL" in text

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
-from repro.media.library import ClipLibrary
 from repro.telemetry.events import (
     FAULT_INJECTED,
     FRAGMENT_EMITTED,
@@ -228,10 +227,7 @@ class TestStreamEquivalenceInvariant:
 def _one_set_library(duration_scale=0.03):
     from repro.experiments.datasets import build_table1_library
 
-    full = build_table1_library(duration_scale=duration_scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(1))
-    return library
+    return build_table1_library(duration_scale=duration_scale).only_set(1)
 
 
 class TestCrossPathIdentity:

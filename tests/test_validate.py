@@ -10,7 +10,6 @@ from repro.errors import ExperimentError, ValidationError
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import run_spec, run_study
 from repro.experiments.spec import RunSpec
-from repro.media.library import ClipLibrary
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
 from repro.netsim.flowlevel import FlowLevelConfig
@@ -35,10 +34,7 @@ SCALE = 0.04
 
 
 def one_set_library(number=3, scale=SCALE):
-    full = build_table1_library(duration_scale=scale)
-    library = ClipLibrary()
-    library.add_set(full.get_set(number))
-    return library
+    return build_table1_library(duration_scale=scale).only_set(number)
 
 
 class TestViolation:
@@ -290,63 +286,3 @@ class TestValidateCli:
         assert main(["validate", "--faults", "nope",
                      "--scale", str(SCALE)]) == 2
         assert "unknown fault scenario" in capsys.readouterr().err
-
-
-class TestDeterminismScript:
-    @staticmethod
-    def _load():
-        import importlib.util
-        import pathlib
-
-        script = (pathlib.Path(__file__).resolve().parents[1]
-                  / "scripts" / "check_determinism.py")
-        spec = importlib.util.spec_from_file_location("check_det", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_mismatched_worker_output_fails(self, monkeypatch, capsys):
-        import json
-        import subprocess
-
-        module = self._load()
-        outputs = iter([json.dumps({"run[x].trace": "aa"}),
-                        json.dumps({"run[x].trace": "bb"})])
-
-        def fake_run(*args, **kwargs):
-            return subprocess.CompletedProcess(
-                args=args, returncode=0, stdout=next(outputs), stderr="")
-
-        monkeypatch.setattr(module.subprocess, "run", fake_run)
-        assert module.main([]) == 1
-        err = capsys.readouterr().err
-        assert "DETERMINISM FAILURE" in err
-        assert "run[x].trace" in err
-
-    def test_matching_worker_output_passes(self, monkeypatch, capsys):
-        import json
-        import subprocess
-
-        module = self._load()
-        payload = json.dumps({"run[x].trace": "aa"})
-
-        def fake_run(*args, **kwargs):
-            return subprocess.CompletedProcess(
-                args=args, returncode=0, stdout=payload, stderr="")
-
-        monkeypatch.setattr(module.subprocess, "run", fake_run)
-        assert module.main([]) == 0
-        assert "determinism ok" in capsys.readouterr().out
-
-    def test_worker_failure_propagates(self, monkeypatch, capsys):
-        import subprocess
-
-        module = self._load()
-
-        def fake_run(*args, **kwargs):
-            return subprocess.CompletedProcess(
-                args=args, returncode=3, stdout="", stderr="boom")
-
-        monkeypatch.setattr(module.subprocess, "run", fake_run)
-        assert module.main([]) == 1
-        assert "boom" in capsys.readouterr().err

@@ -30,6 +30,7 @@ class TestWatchRule:
         dict(window=1), dict(min_baseline=1), dict(min_delta=-0.1),
         dict(z_threshold=float("nan")), dict(z_threshold=float("inf")),
         dict(min_delta=float("nan")), dict(min_delta=float("inf")),
+        dict(window=4, min_baseline=5),
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(AnalysisError):
