@@ -6,6 +6,13 @@ throughput, IP fragmentation cost, end-to-end datagram delivery over a
 full study sweep end to end (sequential and ``jobs=4``).  A regression
 here makes the full study sweep painful; CI diffs the medians against
 the committed ``BENCH_substrate.json`` (see ``scripts/bench_compare.py``).
+
+``jobs=4`` oversubscribes the 2-CPU reference box: four workers share
+two CPUs, so they can gain nothing over ``jobs=2`` (there a warm sweep
+took 0.65 s of wall time at ``jobs=4`` and 0.68 s at ``jobs=2``, equal
+within noise).  On such a box its median measures an oversubscribed
+pool, not the parallel speed-up; ``benchmarks/e2e``'s ``table1-jobs2``
+workload measures that.
 """
 
 import io

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -331,6 +332,37 @@ class _UsageError(Exception):
     """A bad argument: :func:`main` prints it on stderr and exits 2."""
 
 
+#: Every flag that names a file a command writes, under whichever
+#: commands have it (14 in all); :func:`main` checks each one given
+#: before the command runs, so a bad path costs no simulation.
+_OUTPUT_FLAGS = ("--html", "--stream-jsonl", "--csv", "--pcap", "--svg",
+                 "--json", "--events", "--series-csv", "--chrome-trace",
+                 "--jsonl")
+
+
+def _check_output(flag: str, path: Optional[str]) -> None:
+    """Refuse an output path no file can be written at, before any
+    simulation rather than after it.  Nothing is opened, so an existing
+    file keeps its bytes until the command writes it.
+
+    Raises:
+        _UsageError: naming ``flag``.
+    """
+    if not path:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(path if os.path.exists(path) else directory,
+                       os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise _UsageError(f"{flag}: cannot write {path}: {reason}")
+
+
 def _check_positive(label: str, value: float) -> None:
     """Refuse a value that is not positive and finite: ``nan`` and
     ``inf`` parse as floats, and NaN passes a plain ``<= 0`` test.
@@ -414,10 +446,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     record_stream = None
     if args.stream_jsonl:
-        try:
-            record_stream = open(args.stream_jsonl, "w")
-        except OSError as exc:
-            return _usage_error(f"cannot write {args.stream_jsonl}: {exc}")
+        record_stream = open(args.stream_jsonl, "w")
     callbacks = []
     renderer = None
     if args.progress:
@@ -1223,6 +1252,9 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in _OUTPUT_FLAGS:
+            _check_output(flag, getattr(args, flag[2:].replace("-", "_"),
+                                        None))
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         return _usage_error(str(exc))

@@ -2,17 +2,26 @@
 
 Every pair run of a sweep is an independent simulation fully determined
 by ``seed + index``, so the Table 1 corpus parallelizes embarrassingly:
-fan the runs out across worker processes, then merge everything back
-*in library order* so the study is bit-for-bit the sequential one.
+fan the runs out across worker processes, longest first, then merge
+everything back *in library order* so the study is bit-for-bit the
+sequential one.
 
 The pool adds no per-run logic of its own.  Each worker calls the same
 per-run body the sequential loop does
 (:func:`~repro.experiments.runner.run_index`), and the parent takes
 the futures, in library order, through the same collection loop
 (:func:`~repro.experiments.runner.collect_runs`), which also sends the
-progress heartbeats.  Three things make the merge exact rather than
+progress heartbeats.  Four things make the merge exact rather than
 approximate:
 
+* **Submitted by work, collected by index.**  Runs go to the pool in
+  :func:`~repro.experiments.runner.work_order`, by descending
+  packet-hop work, so the longest run starts first instead of last;
+  there is one future per library index, and the parent reads
+  ``futures[i]`` for ``i`` in library order.  Which worker ran a run,
+  and when it finished, never reaches what the parent merges.  Only
+  heartbeat timing shows the order: run 0 is often submitted late, so
+  the first DONE waits for it and the rest follow in bursts.
 * **Conditions are derived, not threaded.**  Run ``i`` samples its
   network conditions from ``RandomStreams(seed + i)`` (see
   :func:`~repro.experiments.runner.study_conditions`), so a worker
@@ -51,16 +60,27 @@ initializer.  A new worker
 count replaces the pool; :func:`shutdown_pool` (also ``repro pool
 shutdown``, and an ``atexit`` hook) tears it down explicitly, and
 :func:`pool_info` reports reuse for the study timing line.
+
+**A dead worker costs a retry, not the study.**  One worker that dies
+breaks the whole executor: every future without a result fails with
+``BrokenProcessPool``, and so does every later ``submit``, also when
+the worker died while the persistent pool was idle between studies.
+The first such failure in a study drops the pool, forks a fresh one,
+and resubmits every run that has no result yet, in the same work
+order; a run is fully determined by its index, so the re-run is the
+run.  ``StudyResults.execution`` says how many runs were re-run.  A
+second failure in the same study raises, and leaves no broken pool
+behind for the next study.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.progress import ProgressCallback
 from repro.experiments.runner import (
@@ -68,6 +88,7 @@ from repro.experiments.runner import (
     StudyResults,
     collect_runs,
     run_index,
+    work_order,
 )
 from repro.experiments.spec import RunSpec
 from repro.telemetry.core import Telemetry
@@ -184,25 +205,64 @@ def run_study_parallel(spec: RunSpec, telemetry: Optional[Telemetry],
     ``jobs > 1``, with ``spec.library`` resolved; produces results
     identical to the sequential path (same runs in the same order, same
     merged telemetry, same streaming-summary bytes, same heartbeats).
-    The worker pool outlives the call (see module docstring).
+    Runs are submitted longest first and collected in library order;
+    the worker pool outlives the call, and one dead worker costs a
+    re-run of the lost runs on a fresh pool (see module docstring).
+
+    Raises:
+        BrokenProcessPool: if a worker dies again after the re-run.
     """
     pairs = spec.library.all_pairs()
     worker_spec = _WorkerSpec(
         run=spec, metrics=telemetry is not None,
         events=telemetry is not None and telemetry.bus.active,
         spans=telemetry is not None and telemetry.spans is not None)
-    try:
+    order = work_order(spec.library, spec.seed)
+    futures: Dict[int, Future] = {}
+    rerun: List[int] = []
+
+    def submit(indices: List[int]) -> None:
         pool = _ensure_pool(min(jobs, len(pairs)))
-        # Submission order is library order, and the futures are
-        # collected in that order, which is the whole determinism
-        # guarantee.
-        futures = [pool.submit(_run_index, worker_spec, index)
-                   for index in range(len(pairs))]
-        return collect_runs(spec, lambda index: futures[index].result(),
-                            telemetry=telemetry, stream=stream,
-                            progress=progress)
+        for index in indices:
+            futures[index] = pool.submit(_run_index, worker_spec, index)
+
+    def resubmit() -> None:
+        # A dead worker poisons the whole executor: fork a fresh one,
+        # once, for every run still without a result.
+        shutdown_pool()
+        rerun.extend(index for index in order
+                     if not _has_result(futures.get(index)))
+        submit(rerun)
+
+    def outcome(index: int) -> RunOutcome:
+        if not rerun:
+            try:
+                return futures[index].result()
+            except BrokenProcessPool:
+                resubmit()
+        return futures[index].result()
+
+    try:
+        try:
+            submit(order)
+        except BrokenProcessPool:  # a worker died while the pool was idle
+            resubmit()
+        results = collect_runs(spec, outcome, telemetry=telemetry,
+                               stream=stream, progress=progress)
     except BrokenProcessPool:
-        # A dead worker poisons the whole executor; drop it so the next
-        # study forks a fresh one instead of failing forever.
+        # Drop the broken executor so the next study forks a fresh one
+        # instead of failing forever.
         shutdown_pool()
         raise
+    results.execution = f"parallel jobs={jobs}"
+    if rerun:
+        results.execution += (f", {len(rerun)} of {len(pairs)} runs re-run "
+                              f"on a fresh pool after a worker died")
+    return results
+
+
+def _has_result(future: Optional[Future]) -> bool:
+    """Whether ``future`` was submitted and finished with a result, not
+    an exception."""
+    return (future is not None and future.done()
+            and future.exception() is None)

@@ -137,8 +137,9 @@ class StudyResults:
     #: ``run=<label>`` context label.
     telemetry: Optional[Telemetry] = None
     #: How the sweep actually executed: "sequential", "parallel
-    #: jobs=N", or the auto-downgrade note when a parallel request fell
-    #: back to sequential on a small sweep.
+    #: jobs=N" (plus how many runs were re-run, when a worker died), or
+    #: the auto-downgrade note when a parallel request fell back to
+    #: sequential on a small sweep.
     execution: str = "sequential"
     #: The online-folded study summary, when the sweep streamed (see
     #: :mod:`repro.telemetry.streaming`): every pair run folded into a
@@ -421,6 +422,22 @@ def study_conditions(seed: int, index: int,
     return sample_conditions(rng, loss_probability=loss_probability)
 
 
+def work_order(library: ClipLibrary, seed: int) -> List[int]:
+    """The sweep's run indices, the run with the most estimated work
+    first; equal estimates keep library order.
+
+    A run's estimate is its packet-hop work: the encoded kbps of both
+    clips times the clip duration times the hop count
+    :func:`study_conditions` samples for it.  Table 1's runs differ in
+    it by 30-50x, and it tracks their measured times closely, so a pool
+    fed in this order does not leave the longest run until last.
+    """
+    work = [(pair.real.encoded_kbps + pair.wmp.encoded_kbps)
+            * clip_set.duration * study_conditions(seed, index).hop_count
+            for index, (clip_set, pair) in enumerate(library.all_pairs())]
+    return sorted(range(len(work)), key=lambda index: (-work[index], index))
+
+
 def run_study(library: Optional[ClipLibrary] = None, seed: int = 2002,
               duration_scale: float = 1.0,
               loss_probability: float = 0.0,
@@ -472,10 +489,14 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
         jobs: worker processes to fan the pair runs across (each run
             is an independent simulation fully determined by ``seed +
             index``).  1 (the default) runs in-process; 0 means one
-            worker per usable CPU.  Results are identical to sequential
-            execution — runs merge back in library order, and worker
-            telemetry folds into the shared facade post-hoc (the
-            facade's profiler, being wall-clock, stays parent-only).
+            worker per usable CPU.  Runs are submitted by descending
+            estimated work (:func:`work_order`) and collected in
+            library order, so results are identical to sequential
+            execution: worker telemetry folds into the shared facade
+            post-hoc (the facade's profiler, being wall-clock, stays
+            parent-only).  A worker that dies costs one re-run of the
+            lost runs on a fresh pool, noted on
+            ``StudyResults.execution``.
         validate: optional :class:`~repro.validate.checker.RunValidator`
             shared by every pair run of the sweep; each run gets an
             invariant sweep at its end.  Sequential execution only.
@@ -514,10 +535,8 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
         if runs >= min_parallel_runs:
             from repro.experiments.parallel import run_study_parallel
 
-            results = run_study_parallel(spec, telemetry=telemetry, jobs=jobs,
-                                         stream=stream, progress=progress)
-            results.execution = f"parallel jobs={jobs}"
-            return results
+            return run_study_parallel(spec, telemetry=telemetry, jobs=jobs,
+                                      stream=stream, progress=progress)
         execution = (f"sequential (auto-downgraded from jobs={jobs}: "
                      f"{runs} runs < {min_parallel_runs})")
     results = collect_runs(

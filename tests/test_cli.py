@@ -328,6 +328,65 @@ class TestBadArgumentExitCodes:
         assert excinfo.value.code == 2
 
 
+#: Every flag that names an output file, after the arguments that
+#: reach it.
+OUTPUT_FLAGS = [
+    (["study", "--scale", "0.02", "--no-cache"], "--html"),
+    (["study", "--scale", "0.02"], "--stream-jsonl"),
+    (["figure", "fig01", "--scale", "0.02"], "--csv"),
+    (["generate", "wmp", "100", "1"], "--pcap"),
+    (["generate", "wmp", "100", "1"], "--csv"),
+    (["scorecard", "--modern", "--scale", "0.02"], "--svg"),
+    (["telemetry", "--scale", "0.02"], "--json"),
+    (["telemetry", "--scale", "0.02"], "--events"),
+    (["telemetry", "--scale", "0.02"], "--series-csv"),
+    (["spans", "--scale", "0.02"], "--json"),
+    (["spans", "--scale", "0.02"], "--chrome-trace"),
+    (["spans", "--scale", "0.02"], "--jsonl"),
+    (["repair", "--scale", "0.02"], "--json"),
+    (["faults", "--scale", "0.02"], "--events"),
+]
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        from repro.core import generator
+        from repro.experiments import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the output path check")
+
+        monkeypatch.setattr(runner, "run_spec", refuse)
+        monkeypatch.setattr(runner, "run_pair_experiment", refuse)
+        monkeypatch.setattr(generator, "generate_flow", refuse)
+
+    @pytest.mark.parametrize(
+        "argv,flag", OUTPUT_FLAGS,
+        ids=[f"{argv[0]}{flag}" for argv, flag in OUTPUT_FLAGS])
+    def test_missing_directory_exits_two(self, argv, flag, tmp_path,
+                                         no_work, capsys):
+        target = tmp_path / "missing" / "out"
+        assert main(argv + [flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: cannot write {target}" in err
+        assert "Traceback" not in err
+
+    def test_existing_file_keeps_its_bytes(self, tmp_path, no_work, capsys):
+        kept = tmp_path / "kept.json"
+        kept.write_text("previous run")
+        assert main(["telemetry", "--json", str(kept),
+                     "--events", str(tmp_path / "missing" / "e")]) == 2
+        assert "--events" in capsys.readouterr().err
+        assert kept.read_text() == "previous run"
+
+    def test_directory_is_refused(self, tmp_path, no_work, capsys):
+        assert main(["figure", "fig01", "--csv", str(tmp_path)]) == 2
+        assert "--csv" in capsys.readouterr().err
+
+
 class TestStudyStreamingOptions:
     def test_progress_and_stream_jsonl(self, tmp_path, capsys):
         import json

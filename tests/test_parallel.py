@@ -11,12 +11,17 @@ is tested through ``REPRO_STUDY_CACHE_DIR`` so nothing touches the real
 import hashlib
 import os
 import pickle
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import cache as study_cache
+from repro.experiments import parallel as parallel_module
+from repro.experiments import runner
 from repro.experiments.cache import (
     clear_cache,
     clear_disk_cache,
@@ -25,13 +30,17 @@ from repro.experiments.cache import (
 )
 from repro.experiments.conditions import sample_conditions
 from repro.experiments.datasets import build_table1_library
+from repro.experiments.parallel import pool_info, shutdown_pool
 from repro.experiments.progress import PHASE_DONE, PHASE_START
 from repro.experiments.runner import (
     resolve_jobs,
+    run_label,
     run_study,
     study_conditions,
+    work_order,
 )
 from repro.experiments.spec import RunSpec
+from repro.media.library import RateBand
 from repro.netsim.engine import Simulator
 from repro.telemetry import (
     MemorySink,
@@ -43,6 +52,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.sinks import encode_event
 from repro.telemetry.streaming import StreamingSummary
+from repro.validate.differential import study_surface
 
 SEED = 424
 SCALE = 0.04
@@ -213,6 +223,115 @@ class TestHeartbeats:
                    if beat.phase == PHASE_DONE)
         # Equal beats: labels, events folded and roll-ups included.
         assert pooled == sequential
+
+
+#: Seed 424's Table 1 runs, the most estimated packet-hop work first.
+LONGEST_FIRST = ["set6-v", "set4-h", "set6-h", "set1-h", "set5-h",
+                 "set3-h", "set2-h", "set4-l", "set6-l", "set1-l",
+                 "set2-l", "set5-l", "set3-l"]
+
+
+def _labels(library, indices):
+    pairs = library.all_pairs()
+    return [run_label(pairs[index][0].number, pairs[index][1].band)
+            for index in indices]
+
+
+class TestWorkOrder:
+    """The pool is fed longest run first and merges in library order."""
+
+    def test_longest_estimated_run_first(self):
+        library = build_table1_library(duration_scale=SCALE)
+        assert _labels(library, work_order(library, SEED)) == LONGEST_FIRST
+
+    def test_pool_submits_by_work_and_collects_by_index(self, monkeypatch):
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording(pool, fn, *args, **kwargs):
+            submitted.append(args[1])  # (worker spec, run index)
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+        library = build_table1_library(duration_scale=SCALE)
+        results = run_study(library, seed=SEED, jobs=2)
+        assert _labels(library, submitted) == LONGEST_FIRST
+        assert [run.label for run in results] == \
+            _labels(library, range(len(library.all_pairs())))
+
+
+class TestDeadWorker:
+    """One dead worker costs a re-run of the lost runs, not the study."""
+
+    #: The run submitted last, so most runs have results when it dies.
+    TARGET = (3, RateBand.LOW)
+
+    @pytest.fixture
+    def fresh_pool(self):
+        # Workers fork when a pool starts, so a patched pair runner
+        # reaches only a pool started after the patch, and no later
+        # test may inherit that pool.
+        shutdown_pool()
+        yield
+        shutdown_pool()
+
+    @staticmethod
+    def study(jobs, library=None):
+        beats = []
+        results = run_study(library, seed=SEED, duration_scale=SCALE,
+                            jobs=jobs, min_parallel_runs=0,
+                            stream=StreamingSummary(),
+                            progress=beats.append)
+        return study_surface(results), beats, results.execution
+
+    def kill_worker_on_target(self, monkeypatch, marker=None):
+        """Make the target pair's worker die: every time, or only
+        while ``marker`` is absent (the first death creates it)."""
+        original = runner.run_pair_experiment
+
+        def killing(clip_set, pair, *args, **kwargs):
+            if ((clip_set.number, pair.band) == self.TARGET
+                    and (marker is None or not marker.exists())):
+                if marker is not None:
+                    marker.touch()
+                os._exit(1)
+            return original(clip_set, pair, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_pair_experiment", killing)
+
+    def test_lost_runs_rerun_on_a_fresh_pool(self, fresh_pool, monkeypatch,
+                                             tmp_path):
+        surface, beats, _ = self.study(jobs=1)
+        marker = tmp_path / "killed"
+        self.kill_worker_on_target(monkeypatch, marker)
+        pooled_surface, pooled_beats, execution = self.study(jobs=2)
+        assert marker.exists()
+        assert execution.startswith("parallel jobs=2, ")
+        assert "re-run on a fresh pool after a worker died" in execution
+        assert pooled_surface == surface
+        assert pooled_beats == beats
+
+    def test_worker_lost_while_the_pool_is_idle(self, fresh_pool):
+        library = one_set_library(6)
+        surface, beats, _ = self.study(jobs=1, library=library)
+        self.study(jobs=2, library=library)  # warms the persistent pool
+        os.kill(next(iter(parallel_module._POOL._processes)), signal.SIGKILL)
+        pooled_surface, pooled_beats, execution = self.study(
+            jobs=2, library=library)
+        assert "re-run on a fresh pool after a worker died" in execution
+        assert pooled_surface == surface
+        assert pooled_beats == beats
+
+    def test_second_loss_raises_and_the_next_study_runs(self, fresh_pool,
+                                                        monkeypatch):
+        with monkeypatch.context() as patch:
+            self.kill_worker_on_target(patch)
+            with pytest.raises(BrokenProcessPool):
+                run_study(seed=SEED, duration_scale=SCALE, jobs=2)
+            assert pool_info()["workers"] == 0
+        results = run_study(seed=SEED, duration_scale=SCALE, jobs=2)
+        assert results.execution == "parallel jobs=2"
+        assert len(results) == len(LONGEST_FIRST)
 
 
 class TestDiskCache:
