@@ -10,10 +10,13 @@ that shifts a single packet, event, or span in these runs fails the
 regression test and must either fix the regression or consciously
 re-pin via ``python scripts/update_goldens.py``.
 
-Two scenarios cover the two regimes the simulator runs in: a plain
-baseline pair study, and the same study under a fault scenario (the
-robustness stack armed, mid-run link flaps) — the path PR 4 added and
-the one most likely to perturb event ordering.
+Most scenarios study one clip set under one opt-in feature (faults,
+congestion control, ABR, repair, the fast path).  Two more sweep the
+whole Table 1 library, packet-level and on the fast path, because every
+figure draws on all thirteen pairs: their documents also pin each
+paper artifact (``figure[<id>]``, a digest of its ``render()`` plus
+``to_csv()``), so a change to the analysis shows even when every packet
+stays put.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from repro._version import __version__
 from repro.cc.abr import AbrConfig
 from repro.cc.base import CcConfig
 from repro.experiments.datasets import build_table1_library
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import RunSpec
 from repro.faults.scenario import build_scenario
 from repro.netsim.flowlevel import FlowLevelConfig
 from repro.repair.base import RepairConfig
 from repro.validate.differential import (
+    _digest,
     _fresh_telemetry,
     diff_surfaces,
     study_surface,
@@ -58,7 +63,7 @@ class GoldenScenario:
     name: str
     description: str
     seed: int
-    set_number: int
+    set_number: Optional[int]  # one clip set, or None for all 13 pairs
     duration_scale: float
     fault: Optional[str] = None  # fault-scenario name, or None
     cc: Optional[str] = None  # congestion-controller kind, or None
@@ -110,6 +115,17 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
                         "and the NACK/retransmit loop actually firing",
             seed=424, set_number=3, duration_scale=0.12,
             fault="burst-loss", repair=True),
+        GoldenScenario(
+            name="table1_packet",
+            description="All 13 Table 1 pairs, packet-level, plus every "
+                        "paper artifact rendered from them",
+            seed=424, set_number=None, duration_scale=0.04),
+        GoldenScenario(
+            name="table1_fastpath",
+            description="All 13 Table 1 pairs on the strict fast path, "
+                        "plus every paper artifact rendered from them",
+            seed=424, set_number=None, duration_scale=0.04,
+            fast_path=True),
     )
 }
 
@@ -125,10 +141,12 @@ def golden_path(name: str, directory: Optional[Path] = None) -> Path:
 
 
 def _golden_spec(scenario: GoldenScenario) -> RunSpec:
-    """The streamed one-set study a golden scenario pins."""
-    full = build_table1_library(duration_scale=scenario.duration_scale)
+    """The streamed study a golden scenario pins."""
+    library = build_table1_library(duration_scale=scenario.duration_scale)
+    if scenario.set_number is not None:
+        library = library.only_set(scenario.set_number)
     return RunSpec(
-        library=full.only_set(scenario.set_number), seed=scenario.seed,
+        library=library, seed=scenario.seed,
         duration_scale=scenario.duration_scale,
         scenario=(build_scenario(scenario.fault, scenario.seed)
                   if scenario.fault is not None else None),
@@ -145,11 +163,18 @@ def compute_golden(scenario: GoldenScenario) -> Dict[str, object]:
     The document carries the parameters alongside the digests so a
     drifted definition (changed seed, different set) is distinguishable
     from a behavioral regression.  Fast-path scenarios pin a span-free
-    telemetry surface (see :func:`_fresh_telemetry`).
+    telemetry surface (see :func:`_fresh_telemetry`).  Whole-library
+    scenarios also pin every paper artifact, as ``figure[<id>]``.
     """
     spec = _golden_spec(scenario)
     telemetry = _fresh_telemetry(spec)
     study = run_spec(spec, telemetry=telemetry, jobs=1)
+    digests = study_surface(study, telemetry)
+    if scenario.set_number is None:
+        for figure_id, generate in ALL_FIGURES.items():
+            result = generate(study)
+            digests[f"figure[{figure_id}]"] = _digest(
+                result.render() + result.to_csv())
     return {
         "schema": GOLDEN_SCHEMA,
         "scenario": scenario.name,
@@ -162,7 +187,7 @@ def compute_golden(scenario: GoldenScenario) -> Dict[str, object]:
         "abr": scenario.abr,
         "repair": scenario.repair,
         "fast_path": scenario.fast_path,
-        "digests": study_surface(study, telemetry),
+        "digests": digests,
     }
 
 
