@@ -7,12 +7,11 @@ full study sweep end to end (sequential and ``jobs=4``).  A regression
 here makes the full study sweep painful; CI diffs the medians against
 the committed ``BENCH_substrate.json`` (see ``scripts/bench_compare.py``).
 
-``jobs=4`` oversubscribes the 2-CPU reference box: four workers share
-two CPUs, so they can gain nothing over ``jobs=2`` (there a warm sweep
-took 0.65 s of wall time at ``jobs=4`` and 0.68 s at ``jobs=2``, equal
-within noise).  On such a box its median measures an oversubscribed
-pool, not the parallel speed-up; ``benchmarks/e2e``'s ``table1-jobs2``
-workload measures that.
+``jobs=4`` is clamped to the usable CPUs, so on the 2-CPU reference
+box the parallel bench runs two workers (four shared two CPUs for no
+gain: a warm sweep took 0.65 s of wall time at ``jobs=4`` and 0.68 s at
+``jobs=2``, equal within noise).  ``benchmarks/e2e``'s ``table1-jobs2``
+workload measures the parallel speed-up.
 """
 
 import io
@@ -95,7 +94,8 @@ def test_bench_study_sequential(benchmark):
 
 
 def test_bench_study_parallel(benchmark):
-    """The same sweep through the process-pool executor (``jobs=4``).
+    """The same sweep through the process-pool executor (``jobs=4``,
+    clamped to the usable CPUs).
 
     On a multi-core runner the median should land well under the
     sequential bench's; on a single-core box the two are at parity

@@ -10,6 +10,7 @@ implementation keeps the runtime dependency on numpy only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,27 +41,33 @@ def ks_statistic(first: Sequence[float],
     """The two-sample KS statistic (max CDF distance), in [0, 1].
 
     Raises:
-        AnalysisError: for empty samples.
+        AnalysisError: for empty samples, or a NaN in either one (a NaN
+            has no place in a sorted sample, so no CDF step can pass it).
     """
     if not first or not second:
         raise AnalysisError("both samples must be nonempty")
+    for sample in (first, second):
+        # NaN is the one value unequal to itself.
+        if any(value != value for value in sample):
+            raise AnalysisError("samples must not contain NaN")
     a = sorted(first)
     b = sorted(second)
+    size_a, size_b = len(a), len(b)
     i = j = 0
     distance = 0.0
-    while i < len(a) and j < len(b):
+    while i < size_a and j < size_b:
         # Consume *all* occurrences of the next value from both sides
-        # before comparing CDFs, or ties inflate the distance.
+        # before comparing CDFs, or ties inflate the distance.  Every
+        # value left is >= the next one, so a run of ties ends where
+        # bisect_right would insert it.
         value = a[i] if a[i] <= b[j] else b[j]
-        while i < len(a) and a[i] == value:
-            i += 1
-        while j < len(b) and b[j] == value:
-            j += 1
-        distance = max(distance, abs(i / len(a) - j / len(b)))
-    if i < len(a):
-        distance = max(distance, 1.0 - i / len(a))
-    if j < len(b):
-        distance = max(distance, 1.0 - j / len(b))
+        i = bisect_right(a, value, i)
+        j = bisect_right(b, value, j)
+        distance = max(distance, abs(i / size_a - j / size_b))
+    if i < size_a:
+        distance = max(distance, 1.0 - i / size_a)
+    if j < size_b:
+        distance = max(distance, 1.0 - j / size_b)
     return distance
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import statistics
 from typing import List, Sequence
 
+from repro.analysis.distributions import SampleSummary
 from repro.errors import AnalysisError
 
 
@@ -45,3 +46,17 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     if len(values) == 1:
         return 0.0
     return statistics.pstdev(values) / mean
+
+
+def summary_cv(summary: SampleSummary) -> float:
+    """:func:`coefficient_of_variation` of the sample ``summary``
+    describes, bit for bit, from its mean and std.
+
+    Raises:
+        AnalysisError: for a zero mean.
+    """
+    if summary.mean == 0:
+        raise AnalysisError("cannot compute CV with a zero mean")
+    if summary.count == 1:
+        return 0.0
+    return summary.std / summary.mean

@@ -10,7 +10,7 @@ compared against the ``y = x`` reference line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ class PolynomialTrend:
 
     def __call__(self, x: float) -> float:
         return float(np.polyval(self.coefficients, x))
-
-    def evaluate(self, xs: Sequence[float]) -> List[float]:
-        return [self(x) for x in xs]
 
     def mean_offset_from_identity(self, xs: Sequence[float]) -> float:
         """Mean of y(x) - x over ``xs``.

@@ -971,10 +971,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.telemetry import JsonlSink, MemorySink, Telemetry
 
     if args.list_scenarios:
-        from repro.faults.scenario import SCENARIO_BUILDERS
-
         for name in scenario_names():
-            builder = SCENARIO_BUILDERS[name]
             description = build_scenario(name, args.seed).description
             print(f"{name:<18} {description}")
         return 0

@@ -11,7 +11,7 @@ the buffering ratio.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, NamedTuple, Optional
 
 from repro.analysis.bandwidth import bandwidth_series
 from repro.analysis.buffering import (
@@ -19,8 +19,8 @@ from repro.analysis.buffering import (
     buffering_ratio_vs_playout,
 )
 from repro.analysis.distributions import pdf, summarize
-from repro.analysis.interarrival import first_of_group_interarrivals
-from repro.analysis.normalize import coefficient_of_variation
+from repro.analysis.interarrival import interarrival_times
+from repro.analysis.normalize import coefficient_of_variation, summary_cv
 from repro.capture.reassembly import fragmentation_percent, group_datagrams
 from repro.capture.trace import Trace
 from repro.core.turbulence import TurbulenceProfile
@@ -28,10 +28,33 @@ from repro.errors import AnalysisError
 from repro.players.stats import PlayerStats
 
 
+class FlowFit(NamedTuple):
+    """A fitted profile plus the samples it was measured from."""
+
+    profile: TurbulenceProfile
+    #: Wire size of every packet, in capture order.
+    sizes: List[float]
+    #: First-of-group interarrivals (the Figure 9 reduction).
+    gaps: List[float]
+
+
 def fit_profile(trace: Trace, encoded_kbps: float, label: str = "",
                 stats: Optional[PlayerStats] = None,
                 pdf_bins: int = 24) -> TurbulenceProfile:
-    """Measure a flow's turbulence profile.
+    """Measure a flow's turbulence profile (see :func:`fit_flow`)."""
+    return fit_flow(trace, encoded_kbps, label, stats, pdf_bins).profile
+
+
+def fit_flow(trace: Trace, encoded_kbps: float, label: str = "",
+             stats: Optional[PlayerStats] = None,
+             pdf_bins: int = 24) -> FlowFit:
+    """Measure a flow's turbulence profile, keeping its samples.
+
+    The trace is grouped into datagrams once; the interarrivals come
+    from the groups' first times, and both CVs from the summaries the
+    means come from.  Callers that also compare the raw samples (the
+    Section IV KS distances) take them from here instead of measuring
+    the flow a second time.
 
     Args:
         trace: the flow's packets (one clip, one direction).
@@ -51,12 +74,12 @@ def fit_profile(trace: Trace, encoded_kbps: float, label: str = "",
 
     sizes = [float(record.wire_bytes) for record in trace]
     size_summary = summarize(sizes)
-    gaps = first_of_group_interarrivals(trace)
+    groups = group_datagrams(trace)
+    gaps = interarrival_times([group.first_time for group in groups])
     if not gaps:
         raise AnalysisError("trace has fewer than two datagram groups")
     gap_summary = summarize(gaps)
 
-    groups = group_datagrams(trace)
     group_sizes = sorted(group.packet_count for group in groups)
     typical_group = group_sizes[len(group_sizes) // 2]
     # ADU-level size regularity; drop the clip's truncated final ADU so
@@ -86,17 +109,18 @@ def fit_profile(trace: Trace, encoded_kbps: float, label: str = "",
                 break
             burst_duration += 1.0
 
-    return TurbulenceProfile(
+    profile = TurbulenceProfile(
         label=label or trace.description,
         encoded_kbps=encoded_kbps,
         mean_packet_bytes=size_summary.mean,
-        packet_size_cv=coefficient_of_variation(sizes),
+        packet_size_cv=summary_cv(size_summary),
         packet_size_pdf=tuple(pdf(sizes, bins=pdf_bins)),
         adu_size_cv=adu_size_cv,
         mean_interarrival=gap_summary.mean,
-        interarrival_cv=coefficient_of_variation(gaps),
+        interarrival_cv=summary_cv(gap_summary),
         interarrival_pdf=tuple(pdf(gaps, bins=pdf_bins)),
         fragment_percent=fragmentation_percent(trace),
         typical_group_size=typical_group,
         burst_ratio=burst_ratio,
         burst_duration=burst_duration)
+    return FlowFit(profile, sizes, gaps)

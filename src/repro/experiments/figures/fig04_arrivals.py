@@ -9,8 +9,6 @@ irregularly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.capture.reassembly import group_size_pattern
 from repro.errors import ExperimentError
 from repro.experiments.figures.base import FigureResult
@@ -42,7 +40,8 @@ def generate(study: StudyResults) -> FigureResult:
         title="Packet Arrivals vs. Time (set "
               f"{run.set_number}, high pair, {WINDOW_START:.0f}-"
               f"{WINDOW_START + WINDOW_LENGTH:.0f}s)")
-    for name, flow in (("real", run.real_flow()), ("wmp", run.wmp_flow())):
+    wmp_flow = run.wmp_flow()
+    for name, flow in (("real", run.real_flow()), ("wmp", wmp_flow)):
         origin = flow[0].time if len(flow) else 0.0
         # Clamp the window into the stream (reduced-duration studies
         # have streams shorter than the paper's 30 s offset).
@@ -53,7 +52,7 @@ def generate(study: StudyResults) -> FigureResult:
         result.series[f"{name}_arrivals"] = [
             (record.time - origin, float(sequence_base + index))
             for index, record in enumerate(window)]
-    wmp_groups = group_size_pattern(run.wmp_flow())
+    wmp_groups = group_size_pattern(wmp_flow)
     interior = wmp_groups[:-1] if len(wmp_groups) > 1 else wmp_groups
     constant = len(set(interior)) == 1
     result.findings.append(

@@ -13,10 +13,8 @@ from __future__ import annotations
 import statistics
 
 from repro.analysis.compare import ks_statistic
-from repro.analysis.interarrival import first_of_group_interarrivals
-from repro.core.fitting import fit_profile
+from repro.core.fitting import fit_flow
 from repro.core.generator import generate_flow
-from repro.core.turbulence import TurbulenceProfile
 from repro.errors import ExperimentError
 from repro.experiments.figures.base import FigureResult
 from repro.experiments.runner import StudyResults
@@ -38,29 +36,29 @@ def generate(study: StudyResults) -> FigureResult:
     for run in study:
         cases = (
             ("real", PlayerFamily.REAL, run.real_clip, run.real_flow(),
-             run.real_profile()),
+             run.real_stats),
             ("wmp", PlayerFamily.WMP, run.wmp_clip, run.wmp_flow(),
-             run.wmp_profile()),
+             run.wmp_stats),
         )
-        for name, family, clip, measured_flow, measured in cases:
+        for name, family, clip, measured_flow, stats in cases:
+            # One fit per flow, which also hands back the samples the KS
+            # distances compare.
+            measured = fit_flow(measured_flow, clip.encoded_kbps,
+                                label=clip.label(), stats=stats)
             synthetic_flow = generate_flow(family, clip.encoded_kbps,
                                            clip.duration,
                                            seed=run.set_number * 100)
-            synthetic_trace = synthetic_flow.to_trace()
-            synthetic = fit_profile(synthetic_trace, clip.encoded_kbps,
-                                    label=f"synthetic {clip.label()}")
+            synthetic = fit_flow(synthetic_flow.to_trace(),
+                                 clip.encoded_kbps,
+                                 label=f"synthetic {clip.label()}")
             # Distribution agreement: KS distance between measured and
             # synthetic packet sizes and datagram-group interarrivals.
-            ks_size = ks_statistic(
-                [float(r.wire_bytes) for r in measured_flow],
-                [float(r.wire_bytes) for r in synthetic_trace])
-            ks_gap = ks_statistic(
-                first_of_group_interarrivals(measured_flow),
-                first_of_group_interarrivals(synthetic_trace))
+            ks_size = ks_statistic(measured.sizes, synthetic.sizes)
+            ks_gap = ks_statistic(measured.gaps, synthetic.gaps)
             size_distances.append(ks_size)
             gap_distances.append(ks_gap)
-            for kind, profile in (("measured", measured),
-                                  ("synthetic", synthetic)):
+            for kind, profile in (("measured", measured.profile),
+                                  ("synthetic", synthetic.profile)):
                 result.rows.append([
                     f"{run.label}-{name}", kind,
                     profile.fragment_percent, profile.adu_size_cv,
@@ -69,7 +67,7 @@ def generate(study: StudyResults) -> FigureResult:
                     ks_gap if kind == "synthetic" else "",
                     profile.classify()])
             total += 1
-            if synthetic.classify() == measured.classify():
+            if synthetic.profile.classify() == measured.profile.classify():
                 matches += 1
     result.findings.append(
         f"synthetic flows classify as their product for {matches}/{total} "

@@ -13,7 +13,6 @@ corpus every figure draws from.
 from __future__ import annotations
 
 import os
-import statistics
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -103,8 +102,11 @@ class PairRunResult:
         return self._media_flow(self.wmp_server)
 
     def _media_flow(self, server: IPAddress) -> Trace:
-        flow = self.trace.udp().flow(server)
-        return flow.filter(lambda r: r.payload_kind == "media")
+        """The UDP media packets ``server`` sent, in one pass."""
+        address = server.value
+        return Trace((r for r in self.trace.records
+                      if r.payload_kind == "media" and r.protocol == "UDP"
+                      and r.src.value == address), self.trace.description)
 
     def real_profile(self) -> TurbulenceProfile:
         return fit_profile(self.real_flow(), self.real_clip.encoded_kbps,
@@ -139,7 +141,8 @@ class StudyResults:
     #: How the sweep actually executed: "sequential", "parallel
     #: jobs=N" (plus how many runs were re-run, when a worker died), or
     #: the auto-downgrade note when a parallel request fell back to
-    #: sequential on a small sweep.
+    #: sequential on a small sweep; a ``jobs`` request clamped to the
+    #: usable CPUs adds e.g. "(4 asked, 2 usable CPUs)".
     execution: str = "sequential"
     #: The online-folded study summary, when the sweep streamed (see
     #: :mod:`repro.telemetry.streaming`): every pair run folded into a
@@ -394,19 +397,25 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
                   if sim.fast_path is not None else None))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask, where the
+    platform reports one, else the CPU count."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: int) -> int:
-    """Normalize a ``jobs`` request: 0 means one worker per usable CPU
-    (the affinity mask, where the platform reports one).
+    """The worker count a ``jobs`` request runs with: 0 means one per
+    usable CPU, and an explicit count is clamped to the usable CPUs
+    (more workers than CPUs only take turns on them).
 
     Raises:
         ExperimentError: if ``jobs`` is negative.
     """
     if jobs < 0:
         raise ExperimentError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        getaffinity = getattr(os, "sched_getaffinity", None)
-        return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    return jobs
+    usable = usable_cpus()
+    return usable if jobs == 0 else min(jobs, usable)
 
 
 def study_conditions(seed: int, index: int,
@@ -489,9 +498,12 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
         jobs: worker processes to fan the pair runs across (each run
             is an independent simulation fully determined by ``seed +
             index``).  1 (the default) runs in-process; 0 means one
-            worker per usable CPU.  Runs are submitted by descending
-            estimated work (:func:`work_order`) and collected in
-            library order, so results are identical to sequential
+            worker per usable CPU, and a larger count is clamped to the
+            usable CPUs (noted on ``StudyResults.execution``, e.g.
+            ``parallel jobs=2 (4 asked, 2 usable CPUs)``).  Runs are
+            submitted by descending estimated work
+            (:func:`work_order`) and collected in library order, so
+            results are identical to sequential
             execution: worker telemetry folds into the shared facade
             post-hoc (the facade's profiler, being wall-clock, stays
             parent-only).  A worker that dies costs one re-run of the
@@ -499,7 +511,8 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
             ``StudyResults.execution``.
         validate: optional :class:`~repro.validate.checker.RunValidator`
             shared by every pair run of the sweep; each run gets an
-            invariant sweep at its end.  Sequential execution only.
+            invariant sweep at its end.  Sequential execution only:
+            refused unless ``jobs`` is 1, whatever the CPU count.
         min_parallel_runs: sweeps smaller than this auto-downgrade a
             ``jobs > 1`` request to sequential execution (fork overhead
             beats the win on small sweeps); the decision lands on
@@ -521,24 +534,34 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
     Raises:
         ExperimentError: before any pair run, for a feature pair the
             compatibility table refuses (including ``validate`` with
-            ``jobs > 1``).
+            any ``jobs`` but 1).
     """
-    jobs = resolve_jobs(jobs)
-    spec.check(validate=validate, jobs=jobs, telemetry=telemetry)
+    asked, jobs = jobs, resolve_jobs(jobs)
+    # Refuse on the request, not on the host's CPU count, so the answer
+    # is the same on every machine.
+    spec.check(validate=validate, jobs=asked, telemetry=telemetry)
+    clamped = ""
+    if jobs < asked:
+        clamped = (f" ({asked} asked, {jobs} usable "
+                   f"CPU{'s' if jobs != 1 else ''})")
     spec = replace(spec, library=spec.clip_library(),
                    stream=spec.stream or stream is not None)
     if stream is None and spec.stream:
         stream = StreamingSummary()
     runs = len(spec.library.all_pairs())
-    execution = "sequential"
+    execution = "sequential" + clamped
     if jobs > 1 and runs > 1:
         if runs >= min_parallel_runs:
             from repro.experiments.parallel import run_study_parallel
 
-            return run_study_parallel(spec, telemetry=telemetry, jobs=jobs,
-                                      stream=stream, progress=progress)
-        execution = (f"sequential (auto-downgraded from jobs={jobs}: "
-                     f"{runs} runs < {min_parallel_runs})")
+            results = run_study_parallel(spec, telemetry=telemetry,
+                                         jobs=jobs, stream=stream,
+                                         progress=progress)
+            results.execution = results.execution.replace(
+                f"jobs={jobs}", f"jobs={jobs}{clamped}", 1)
+            return results
+        execution = (f"sequential (auto-downgraded from jobs={jobs}"
+                     f"{clamped}: {runs} runs < {min_parallel_runs})")
     results = collect_runs(
         spec,
         lambda index: run_index(spec, index, telemetry, validate),

@@ -37,7 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: Feature pairs that refuse to run together, each with its one reason.
 #: Feature names: ``cc``, ``abr``, ``fast_path`` (set when configured),
 #: ``repair`` (set when armed, i.e. not the null config), ``validate``
-#: (a validator attached), ``jobs>1`` (a worker pool), and ``spans``
+#: (a validator attached), ``jobs>1`` (a worker pool asked for: any
+#: ``jobs`` but 1, since 0 means one per CPU), and ``spans``
 #: (span tracing on the telemetry facade).  Checked in this order.
 COMPATIBILITY: Tuple[Tuple[Tuple[str, str], str], ...] = (
     (("cc", "abr"),
@@ -82,7 +83,7 @@ def check_compatible(*, cc: Optional["CcConfig"] = None,
         ("fast_path", fast_path is not None),
         ("repair", repair_armed(repair)),
         ("validate", validate is not None),
-        ("jobs>1", jobs > 1),
+        ("jobs>1", jobs != 1),
         ("spans", telemetry is not None and telemetry.spans is not None),
     ) if on}
     for pair, reason in COMPATIBILITY:

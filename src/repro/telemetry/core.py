@@ -111,9 +111,6 @@ class Telemetry:
     def gauge(self, name: str, **labels: object):
         return self.registry.gauge(name, **labels)
 
-    def histogram(self, name: str, bounds=None, **labels: object):
-        return self.registry.histogram(name, bounds=bounds, **labels)
-
     # ------------------------------------------------------------------
     # Cross-process snapshot / merge
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro._version import __version__
 from repro.cc.abr import AbrConfig
 from repro.cc.base import CcConfig
 from repro.experiments.datasets import build_table1_library

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import units
+from repro.experiments import runner
 from repro.netsim.addressing import IPAddress, Subnet
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
@@ -23,6 +24,14 @@ class HostPair:
                          propagation_delay=propagation_delay)
         self.left.routing.set_default(self.right)
         self.right.routing.set_default(self.left)
+
+
+@pytest.fixture
+def pool_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, for tests that need
+    ``jobs=2`` to fork a real pool: an explicit ``jobs`` is clamped to
+    the usable CPUs (``runner.resolve_jobs``)."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
 
 
 @pytest.fixture

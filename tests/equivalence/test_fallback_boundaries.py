@@ -153,6 +153,7 @@ class TestCcActivation:
         assert dict(summary.fallback_reasons).get(REASON_BLACKOUT, 0) > 0
 
 
+@pytest.mark.usefixtures("pool_cpus")
 class TestParallelDeterminism:
     """jobs=2 with the fast path matches the sequential sweep."""
 

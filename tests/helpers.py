@@ -1,4 +1,7 @@
-"""Shared test helpers for building synthetic capture records."""
+"""Shared test helpers: synthetic capture records, call counting."""
+
+import importlib
+import sys
 
 from repro.capture.trace import PacketRecord
 from repro.netsim.addressing import IPAddress
@@ -43,3 +46,23 @@ def make_fragment_train(start_number=1, start_time=0.0, identification=1,
             fragment_offset=offset_units))
         offset_units += payload // 8
     return records
+
+
+def count_calls(monkeypatch, module_name, name):
+    """Count calls of ``module_name.name`` from anywhere in ``repro``.
+
+    Wraps the function in its own module and in every ``repro`` module
+    that imported it by name; returns the list each call appends to.
+    """
+    original = getattr(importlib.import_module(module_name), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for holder_name, holder in list(sys.modules.items()):
+        if (holder_name.split(".")[0] == "repro"
+                and getattr(holder, name, None) is original):
+            monkeypatch.setattr(holder, name, counted)
+    return calls

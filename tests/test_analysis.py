@@ -30,7 +30,11 @@ from repro.analysis.interarrival import (
     interarrival_times,
     normalized_interarrivals,
 )
-from repro.analysis.normalize import coefficient_of_variation, normalize_by_mean
+from repro.analysis.normalize import (
+    coefficient_of_variation,
+    normalize_by_mean,
+    summary_cv,
+)
 from repro.analysis.report import ascii_plot, format_table, render_cdf
 from repro.analysis.trends import fit_polynomial_trend
 from repro.capture.trace import Trace
@@ -178,6 +182,27 @@ class TestNormalize:
         vbr = [60.0, 180.0] * 25
         assert (coefficient_of_variation(vbr)
                 > coefficient_of_variation(cbr) + 0.3)
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1514.0]),
+        st.floats(min_value=-1e6, max_value=1e6)), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_summary_cv_is_coefficient_of_variation_bit_for_bit(self,
+                                                                values):
+        # Small signed values make zero means (and one-element samples
+        # of a negative value) common, not just possible.
+        try:
+            expected = coefficient_of_variation(values)
+        except AnalysisError as error:
+            with pytest.raises(AnalysisError, match=f"^{error}$"):
+                summary_cv(summarize(values))
+        else:
+            assert summary_cv(summarize(values)).hex() == expected.hex()
+
+    def test_summary_cv_of_one_value(self):
+        assert summary_cv(summarize([-3.0])).hex() == (0.0).hex()
+        with pytest.raises(AnalysisError, match="zero mean"):
+            summary_cv(summarize([0.0]))
 
     @given(st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=1,
                     max_size=100))

@@ -244,6 +244,7 @@ class TestCcStudies:
                     if e.type == CC_STATE]
 
 
+@pytest.mark.usefixtures("pool_cpus")
 class TestParallelAutoDowngrade:
     def test_small_sweep_downgrades_and_records_the_decision(self):
         library = one_set_library()  # 2 pair runs < PARALLEL_MIN_RUNS

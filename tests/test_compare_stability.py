@@ -1,11 +1,16 @@
 """Tests for KS comparison and path-stability verification."""
 
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.compare import ks_statistic, ks_test
 from repro.errors import AnalysisError
 from repro.netsim.addressing import IPAddress
@@ -14,6 +19,34 @@ from repro.tools.stability import verify_stability
 from repro.tools.tracert import TracerouteHop, TracerouteReport
 
 TARGET = IPAddress.parse("64.14.118.1")
+
+#: Few distinct values, so ties dominate: signed zeros, the 1514-byte
+#: frame nearly every WMP packet is, infinities, and any finite float.
+_TIE_HEAVY = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 1514.0, 1514, 2.5, -3.0,
+                     math.inf, -math.inf]),
+    st.floats(allow_nan=False, min_value=-1e6, max_value=1e6))
+
+
+def _stepping_ks(first, second):
+    """Reference KS statistic that steps over each tied value one at a
+    time; ``ks_statistic`` must match it bit for bit."""
+    a = sorted(first)
+    b = sorted(second)
+    i = j = 0
+    distance = 0.0
+    while i < len(a) and j < len(b):
+        value = a[i] if a[i] <= b[j] else b[j]
+        while i < len(a) and a[i] == value:
+            i += 1
+        while j < len(b) and b[j] == value:
+            j += 1
+        distance = max(distance, abs(i / len(a) - j / len(b)))
+    if i < len(a):
+        distance = max(distance, 1.0 - i / len(a))
+    if j < len(b):
+        distance = max(distance, 1.0 - j / len(b))
+    return distance
 
 
 class TestKsStatistic:
@@ -50,6 +83,38 @@ class TestKsStatistic:
         backward = ks_statistic(b, a)
         assert 0.0 <= forward <= 1.0
         assert forward == pytest.approx(backward, abs=1e-12)
+
+    @pytest.mark.parametrize("first, second", [
+        ([1.0, math.nan], [math.nan, 2.0]),
+        ([math.nan], [1.0]),
+        ([1.0, 2.0], [3.0, math.nan]),
+    ])
+    def test_nan_rejected(self, first, second):
+        with pytest.raises(AnalysisError, match="NaN"):
+            ks_statistic(first, second)
+        with pytest.raises(AnalysisError, match="NaN"):
+            ks_test(first, second)
+
+    def test_nan_on_both_sides_returns_promptly(self):
+        # A NaN on both sides can stall a tie loop forever, so the call
+        # runs in a child: a regression fails here instead of hanging.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1])\n"
+             "from repro.analysis.compare import ks_statistic\n"
+             "ks_statistic([1.0, float('nan')], [float('nan'), 2.0])", src],
+            capture_output=True, text=True, timeout=60)
+        assert child.returncode == 1
+        assert "AnalysisError: samples must not contain NaN" in child.stderr
+
+    @given(st.lists(_TIE_HEAVY, min_size=1, max_size=60),
+           st.lists(_TIE_HEAVY, min_size=1, max_size=90))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_stepping_tie_loop_bit_for_bit(self, a, b):
+        expected = _stepping_ks(a, b)
+        assert ks_statistic(a, b).hex() == expected.hex()
+        assert ks_statistic(b, a).hex() == _stepping_ks(b, a).hex()
 
 
 class TestKsTest:

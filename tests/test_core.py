@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.buffering import detect_buffering_phase
 from repro.analysis.bandwidth import bandwidth_series
+from repro.analysis.interarrival import first_of_group_interarrivals
 from repro.capture.reassembly import fragmentation_percent
-from repro.core.fitting import fit_profile
+from repro.core.fitting import fit_flow, fit_profile
 from repro.core.generator import FlowReplayer, generate_flow
 from repro.core.models import (
     MediaPlayerFlowModel,
@@ -24,7 +25,7 @@ from repro.core.turbulence import TurbulenceProfile
 from repro.errors import AnalysisError, MediaError
 from repro.media.clip import PlayerFamily
 
-from .helpers import make_fragment_train
+from .helpers import count_calls, make_fragment_train
 
 
 class TestConditionSampling:
@@ -203,6 +204,17 @@ class TestProfileFitting:
         profile = fit_profile(flow.to_trace(), encoded_kbps=307.2)
         assert profile.is_cbr
         assert profile.fragment_percent == pytest.approx(66.7, abs=2.0)
+
+    def test_groups_the_trace_once(self, monkeypatch):
+        groupings = count_calls(monkeypatch, "repro.capture.reassembly",
+                                "group_datagrams")
+        trace = self.wmp_like_trace()
+        fit = fit_flow(trace, encoded_kbps=307.2)
+        assert len(groupings) == 1
+        assert fit_profile(trace, encoded_kbps=307.2) == fit.profile
+        assert len(groupings) == 2
+        assert fit.sizes == [float(r.wire_bytes) for r in trace]
+        assert fit.gaps == first_of_group_interarrivals(trace)
 
     def test_tiny_trace_rejected(self):
         from repro.capture.trace import Trace

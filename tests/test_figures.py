@@ -13,7 +13,9 @@ from repro.analysis.distributions import cdf_at
 from repro.errors import ExperimentError
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.figures.base import FigureResult
-from repro.experiments.runner import StudyResults, run_study
+from repro.experiments.runner import PairRunResult, StudyResults, run_study
+
+from .helpers import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +173,37 @@ class TestSec4:
     def test_round_trip_classification(self, study):
         result = ALL_FIGURES["sec4"](study)
         assert any("26/26" in finding for finding in result.findings)
+
+
+class TestEachFlowMeasuredOnce:
+    """A render selects and groups each flow once per figure."""
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        calls = []
+        original = PairRunResult._media_flow
+
+        def counted(run, server):
+            calls.append((run.label, server))
+            return original(run, server)
+
+        monkeypatch.setattr(PairRunResult, "_media_flow", counted)
+        return calls
+
+    def test_sec4_selects_and_groups_each_flow_once(self, short_study,
+                                                    selections,
+                                                    monkeypatch):
+        groupings = count_calls(monkeypatch, "repro.capture.reassembly",
+                                "group_datagrams")
+        ALL_FIGURES["sec4"](short_study)
+        runs = len(short_study)
+        # One selection per (run, product); one grouping of the
+        # measured flow and one of its synthetic twin.
+        assert len(selections) == 2 * runs
+        assert len(set(selections)) == 2 * runs
+        assert len(groupings) == 2 * 2 * runs
+
+    def test_fig04_selects_each_flow_once(self, short_study, selections):
+        ALL_FIGURES["fig04"](short_study)
+        assert len(selections) == 2
+        assert len(set(selections)) == 2

@@ -52,6 +52,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.sinks import encode_event
 from repro.telemetry.streaming import StreamingSummary
+from repro.validate.checker import RunValidator
 from repro.validate.differential import study_surface
 
 SEED = 424
@@ -69,13 +70,47 @@ def sequential():
 
 @pytest.fixture(scope="module")
 def parallel():
-    return run_study(seed=SEED, duration_scale=SCALE, jobs=2)
+    with pytest.MonkeyPatch.context() as patch:
+        # A real two-worker pool on any host (see ``pool_cpus``).
+        patch.setattr(runner, "usable_cpus", lambda: 2)
+        return run_study(seed=SEED, duration_scale=SCALE, jobs=2)
 
 
 class TestJobsResolution:
     def test_default_passthrough(self):
         assert resolve_jobs(1) == 1
+        # An explicit count runs as asked up to the usable CPUs.
+        assert resolve_jobs(7) == min(7, runner.usable_cpus())
+
+    def test_explicit_jobs_clamped_to_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        assert [resolve_jobs(jobs) for jobs in (1, 2, 4, 7)] == [1, 2, 2, 2]
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 8)
         assert resolve_jobs(7) == 7
+
+    def test_clamp_is_noted_on_the_execution(self, monkeypatch):
+        library = one_set_library(3)
+        sequential = run_study(library, seed=SEED, duration_scale=SCALE)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        pooled = run_study(library, seed=SEED, duration_scale=SCALE,
+                           jobs=4, min_parallel_runs=0)
+        assert pooled.execution == "parallel jobs=2 (4 asked, 2 usable CPUs)"
+        assert study_surface(pooled) == study_surface(sequential)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+        alone = run_study(library, seed=SEED, duration_scale=SCALE, jobs=2,
+                          min_parallel_runs=0)
+        assert alone.execution == "sequential (2 asked, 1 usable CPU)"
+        assert study_surface(alone) == study_surface(sequential)
+
+    @pytest.mark.parametrize("jobs", [0, 2, 4])
+    def test_validate_refusal_keys_on_the_jobs_asked(self, monkeypatch,
+                                                     jobs):
+        # One usable CPU would run any of these sequentially; the
+        # request is refused all the same, as on any other host.
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+        with pytest.raises(ExperimentError, match="sequential execution"):
+            run_study(one_set_library(3), seed=SEED, duration_scale=SCALE,
+                      jobs=jobs, validate=RunValidator())
 
     def test_zero_means_cpu_count(self):
         usable = (len(os.sched_getaffinity(0))
@@ -237,6 +272,7 @@ def _labels(library, indices):
             for index in indices]
 
 
+@pytest.mark.usefixtures("pool_cpus")
 class TestWorkOrder:
     """The pool is fed longest run first and merges in library order."""
 
@@ -260,6 +296,7 @@ class TestWorkOrder:
             _labels(library, range(len(library.all_pairs())))
 
 
+@pytest.mark.usefixtures("pool_cpus")
 class TestDeadWorker:
     """One dead worker costs a re-run of the lost runs, not the study."""
 
