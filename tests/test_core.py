@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.analysis.buffering import detect_buffering_phase
 from repro.analysis.bandwidth import bandwidth_series
 from repro.analysis.interarrival import first_of_group_interarrivals
+from repro.capture import serialize
 from repro.capture.reassembly import fragmentation_percent
 from repro.core.fitting import fit_flow, fit_profile
 from repro.core.generator import FlowReplayer, generate_flow
@@ -156,6 +157,32 @@ class TestSyntheticFlow:
         fields = repr([astuple(event) for event in flow.events])
         assert flow.packet_count == packets
         assert hashlib.sha256(fields.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family, kbps, wire_bytes, trace, schedule", [
+        (PlayerFamily.WMP, 49.8, 130_128,
+         "a838563e2550e0d3cb9ff12bdc9bfea899a431f0a172c877dae77ba77e40c6ee",
+         "7f4c6ff2e6ac1922ea5a8c94b00e0c9dd772172b86663c03ddc537164cbfb395"),
+        (PlayerFamily.WMP, 307.2, 790_000,
+         "d38f74b185809d8c08b527d05550ee4df120a76c4a7096a55eb0306facf36ccf",
+         "176ff451e862147b7e461693cc3474b06ec05ec70d57f141ae92530d465dd616"),
+        (PlayerFamily.REAL, 36.0, 97_350,
+         "71b63f71e9fe4e045c1180b35a0e1f5c0db0b4ee78e40f9c959ca8f829963850",
+         "0ae0a8a0d9b09e0b93dd13dc6326b9001335c1a3edc8adc7aeeca0c4bbd4261b"),
+        (PlayerFamily.REAL, 284.0, 747_380,
+         "9f007b332e878857b5699a314920befa90b9c3f796adf0f9466f21d6d9780de5",
+         "4eda73389ee964caf39b21cb3414f216204af776c8b9acaaa81c351644ee292a"),
+    ])
+    def test_generated_flow_trace_is_pinned(self, family, kbps, wire_bytes,
+                                            trace, schedule):
+        # The same flows in the terms every consumer reads: the capture
+        # trace (every record field, via the CSV serializer) and the
+        # datagram schedule a replayer sends.
+        flow = generate_flow(family, kbps, 20.0, seed=11)
+        text = serialize.dumps(flow.to_trace())
+        assert hashlib.sha256(text.encode()).hexdigest() == trace
+        payloads = repr(flow.group_payloads())
+        assert hashlib.sha256(payloads.encode()).hexdigest() == schedule
+        assert flow.total_wire_bytes == wire_bytes
 
     def test_invalid_duration_rejected(self):
         with pytest.raises(MediaError):
