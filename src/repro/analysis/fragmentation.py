@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro import units
 from repro.capture.reassembly import (
     fragmentation_percent,
     group_datagrams,
@@ -54,16 +55,15 @@ def fragmentation_sweep_point(trace: Trace,
         typical_group_size=typical)
 
 
-def expected_fragment_percent(adu_bytes: int,
-                              fragment_payload: int = 1480) -> float:
+def expected_fragment_percent(adu_bytes: int) -> float:
     """The analytic fragment share for a given ADU size.
 
-    One datagram of ``adu_bytes`` (+8 UDP header) splits into n
-    fragments; Ethereal counts n-1 of them as "IP fragments", so the
-    share is (n-1)/n.  Used by tests to cross-check measurements.
+    One datagram of ``adu_bytes`` (+8 UDP header) leaves as n packets
+    (:func:`repro.units.fragment_payloads`); Ethereal counts n-1 of
+    them as "IP fragments", so the share is (n-1)/n.  Used by tests to
+    cross-check measurements.
     """
     if adu_bytes <= 0:
         raise AnalysisError("ADU size must be positive")
-    ip_payload = adu_bytes + 8
-    count = -(-ip_payload // fragment_payload)
+    count = len(units.fragment_payloads(adu_bytes + units.UDP_HEADER_BYTES))
     return 100.0 * (count - 1) / count

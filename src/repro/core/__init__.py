@@ -13,15 +13,17 @@ Two artifacts survive from the study:
    Figures 6–7, intervals from Figures 8–9, fragmentation from
    Figure 5, and the Real burst from Figure 11.
    :class:`MediaPlayerFlowModel` and :class:`RealPlayerFlowModel` are
-   that recipe, generating packet schedules with no simulator required
-   (and replayable into one).
+   that recipe, generating datagram schedules with no simulator
+   required (and replayable into one).  :meth:`SyntheticFlow.to_trace`
+   expands each datagram into packets by the IP layer's own rule
+   (:func:`repro.units.fragment_payloads`); there is no second packet
+   type.
 """
 
 from repro.core.fitting import fit_profile
 from repro.core.generator import FlowReplayer, SyntheticFlow, generate_flow
 from repro.core.models import (
     MediaPlayerFlowModel,
-    PacketEvent,
     RealPlayerFlowModel,
     flow_model_for,
     sample_hop_count,
@@ -32,7 +34,6 @@ from repro.core.turbulence import TurbulenceProfile
 __all__ = [
     "FlowReplayer",
     "MediaPlayerFlowModel",
-    "PacketEvent",
     "RealPlayerFlowModel",
     "SyntheticFlow",
     "TurbulenceProfile",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro import units
 from repro.capture.trace import PacketRecord, Trace
@@ -26,11 +26,7 @@ from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
 from repro.netsim.headers import PayloadMeta
 from repro.netsim.udp import UdpSocket
-from repro.core.models import (
-    MediaPlayerFlowModel,
-    PacketEvent,
-    RealPlayerFlowModel,
-)
+from repro.core.models import flow_model_for
 
 _DEFAULT_SRC = IPAddress.parse("64.14.118.10")
 _DEFAULT_DST = IPAddress.parse("130.215.0.10")
@@ -38,66 +34,76 @@ _DEFAULT_DST = IPAddress.parse("130.215.0.10")
 
 @dataclass
 class SyntheticFlow:
-    """A generated packet schedule plus its provenance."""
+    """A generated datagram schedule plus its provenance.
+
+    ``payloads`` is what a Section IV model decides: (send time, UDP
+    payload bytes) per datagram.  Its packets are what the IP layer
+    makes of each datagram (:func:`repro.units.fragment_payloads`).
+    """
 
     family: PlayerFamily
     encoded_kbps: float
     duration: float
-    events: List[PacketEvent] = field(default_factory=list)
+    payloads: List[Tuple[float, int]] = field(default_factory=list)
+
+    def _datagrams(self) -> Iterator[Tuple[float, List[int]]]:
+        """(send time, IP payload bytes of each packet) per datagram."""
+        for time, payload in self.payloads:
+            yield time, units.fragment_payloads(
+                payload + units.UDP_HEADER_BYTES)
 
     @property
     def packet_count(self) -> int:
-        return len(self.events)
+        return sum(len(sizes) for _, sizes in self._datagrams())
 
     @property
     def total_wire_bytes(self) -> int:
-        return sum(event.wire_bytes for event in self.events)
+        return sum(units.wire_frame_bytes(units.IPV4_HEADER_BYTES + size)
+                   for _, sizes in self._datagrams() for size in sizes)
 
     @property
     def streaming_duration(self) -> float:
         """Wall time the flow occupies (shorter than the clip for
         RealPlayer flows, which front-load the burst)."""
-        if not self.events:
+        if not self.payloads:
             return 0.0
-        return self.events[-1].time - self.events[0].time
+        return self.payloads[-1][0] - self.payloads[0][0]
 
     def group_payloads(self) -> List[Tuple[float, int]]:
         """(time, UDP payload bytes) per datagram group — the schedule
         a replayer hands to sendto()."""
-        groups: dict = {}
-        order: List[int] = []
-        for event in self.events:
-            if event.group_sequence not in groups:
-                groups[event.group_sequence] = [event.time, 0]
-                order.append(event.group_sequence)
-            groups[event.group_sequence][1] += (
-                event.ip_bytes - units.IPV4_HEADER_BYTES)
-        result = []
-        for sequence in order:
-            time, ip_payload = groups[sequence]
-            result.append((time, ip_payload - units.UDP_HEADER_BYTES))
-        return result
+        return self.payloads
 
     def to_trace(self, src: IPAddress = _DEFAULT_SRC,
                  dst: IPAddress = _DEFAULT_DST, src_port: int = 5005,
                  dst_port: int = 7000) -> Trace:
-        """Render the flow as a capture trace for re-analysis."""
+        """Render the flow as a capture trace for re-analysis.
+
+        Every packet of a datagram carries its send time; only the
+        first shows the UDP ports, as on the wire.
+        """
         records = []
-        for number, event in enumerate(self.events, start=1):
-            first_of_group = not event.is_trailing_fragment
-            records.append(PacketRecord(
-                number=number, time=event.time, direction="rx",
-                src=src, dst=dst, protocol="UDP",
-                ip_bytes=event.ip_bytes, wire_bytes=event.wire_bytes,
-                ttl=114, identification=event.group_sequence + 1,
-                is_fragment=event.is_fragment,
-                is_trailing_fragment=event.is_trailing_fragment,
-                more_fragments=event.more_fragments,
-                fragment_offset=event.fragment_offset,
-                src_port=src_port if first_of_group else None,
-                dst_port=dst_port if first_of_group else None,
-                payload_kind="media",
-                datagram_id=event.group_sequence + 1))
+        for datagram, (time, sizes) in enumerate(self._datagrams(), start=1):
+            last = len(sizes) - 1
+            offset = 0
+            for index, size in enumerate(sizes):
+                ip_bytes = units.IPV4_HEADER_BYTES + size
+                first = index == 0
+                records.append(PacketRecord(
+                    number=len(records) + 1, time=time, direction="rx",
+                    src=src, dst=dst, protocol="UDP",
+                    ip_bytes=ip_bytes,
+                    wire_bytes=units.wire_frame_bytes(ip_bytes),
+                    ttl=114, identification=datagram,
+                    is_fragment=last > 0,
+                    is_trailing_fragment=not first,
+                    more_fragments=index < last,
+                    fragment_offset=offset // 8,
+                    src_port=src_port if first else None,
+                    dst_port=dst_port if first else None,
+                    payload_kind="media",
+                    datagram_id=datagram))
+                offset += size
         return Trace(records,
                      description=(f"synthetic {self.family.value} "
                                   f"{self.encoded_kbps:.0f}Kbps"))
@@ -112,14 +118,10 @@ def generate_flow(family: PlayerFamily, encoded_kbps: float,
     """
     if duration <= 0:
         raise MediaError(f"duration must be positive: {duration}")
-    rng = random.Random(seed)
-    if family == PlayerFamily.WMP:
-        model = MediaPlayerFlowModel(encoded_kbps, rng)
-    else:
-        model = RealPlayerFlowModel(encoded_kbps, rng)
-    events = model.packet_schedule(duration)
+    model = flow_model_for(family, encoded_kbps, random.Random(seed))
     return SyntheticFlow(family=family, encoded_kbps=encoded_kbps,
-                         duration=duration, events=events)
+                         duration=duration,
+                         payloads=model.group_payloads(duration))
 
 
 class FlowReplayer:

@@ -13,17 +13,17 @@ The paper sketches how to simulate a 2002 commercial streaming flow:
     on Figure 11."
 
 These classes implement that recipe directly — no event-driven
-simulator required — producing per-packet schedules a network simulator
-(ns-2 then, anything now) can replay as an unresponsive UDP source.
+simulator required — producing datagram schedules a network simulator
+(ns-2 then, anything now) can replay as an unresponsive UDP source;
+the IP layer's own rule (:func:`repro.units.fragment_payloads`) turns
+each datagram into the packets on the wire.
 The numeric calibrations are shared with the in-simulator server models
 so fitted and generated flows agree.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import units
@@ -36,26 +36,6 @@ from repro.servers.pacing import (
     real_packet_bytes,
 )
 from repro.servers.realserver import buffering_ratio, burst_duration
-
-
-@dataclass(frozen=True)
-class PacketEvent:
-    """One wire packet of a synthetic flow."""
-
-    time: float
-    ip_bytes: int
-    group_sequence: int
-    is_trailing_fragment: bool
-    more_fragments: bool
-    fragment_offset: int  # 8-byte units, as on the wire
-
-    @property
-    def wire_bytes(self) -> int:
-        return units.wire_frame_bytes(self.ip_bytes)
-
-    @property
-    def is_fragment(self) -> bool:
-        return self.more_fragments or self.fragment_offset > 0
 
 
 # ----------------------------------------------------------------------
@@ -141,29 +121,6 @@ class MediaPlayerFlowModel:
             tick += 1
         return payloads
 
-    def packet_schedule(self, duration: float) -> List[PacketEvent]:
-        """Expand ADUs into the on-wire fragment trains."""
-        events: List[PacketEvent] = []
-        chunk = units.FRAGMENT_PAYLOAD_BYTES
-        for group, (time, payload) in enumerate(
-                self.group_payloads(duration)):
-            ip_payload = payload + units.UDP_HEADER_BYTES
-            count = max(1, math.ceil(ip_payload / chunk))
-            offset = 0
-            remaining = ip_payload
-            for index in range(count):
-                this_payload = min(chunk, remaining)
-                events.append(PacketEvent(
-                    time=time,
-                    ip_bytes=units.IPV4_HEADER_BYTES + this_payload,
-                    group_sequence=group,
-                    is_trailing_fragment=index > 0,
-                    more_fragments=(count > 1 and index < count - 1),
-                    fragment_offset=offset // 8))
-                offset += this_payload
-                remaining -= this_payload
-        return events
-
 
 class RealPlayerFlowModel:
     """Generate RealPlayer-like turbulence (VBR + buffering burst).
@@ -171,25 +128,20 @@ class RealPlayerFlowModel:
     Args:
         encoded_kbps: the clip's encoding rate.
         rng: random source for size/interval draws.
-        burst_ratio / burst_seconds: override the Figure 11 defaults.
     """
 
     def __init__(self, encoded_kbps: float,
-                 rng: Optional[random.Random] = None,
-                 burst_ratio: Optional[float] = None,
-                 burst_seconds: Optional[float] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         if encoded_kbps <= 0:
             raise MediaError(f"rate must be positive: {encoded_kbps}")
         self.encoded_kbps = encoded_kbps
         self._rng = rng or random.Random(0)
-        self.burst_ratio = (burst_ratio if burst_ratio is not None
-                            else buffering_ratio(encoded_kbps))
-        self.burst_seconds = (burst_seconds if burst_seconds is not None
-                              else burst_duration(encoded_kbps))
+        self.burst_ratio = buffering_ratio(encoded_kbps)
+        self.burst_seconds = burst_duration(encoded_kbps)
         self.mean_packet_bytes = real_mean_packet_bytes(encoded_kbps)
 
-    def packet_schedule(self, duration: float) -> List[PacketEvent]:
-        """The full on-wire schedule for a clip of ``duration``.
+    def group_payloads(self, duration: float) -> List[Tuple[float, int]]:
+        """(send time, UDP payload bytes) for a clip of ``duration``.
 
         Total bytes are conserved (rate × duration); the burst phase
         simply front-loads them, so the generated flow ends early just
@@ -197,29 +149,20 @@ class RealPlayerFlowModel:
         """
         total_bytes = int(round(units.bits_to_bytes(
             units.kbps(self.encoded_kbps) * duration)))
-        events: List[PacketEvent] = []
+        payloads: List[Tuple[float, int]] = []
         time = 0.0
         sent = 0
-        group = 0
         rate_bps = units.kbps(self.encoded_kbps)
         while sent < total_bytes:
             size = real_packet_bytes(self._rng, self.mean_packet_bytes)
             payload = min(size, int(total_bytes - sent))
-            events.append(PacketEvent(
-                time=time,
-                ip_bytes=(units.IPV4_HEADER_BYTES + units.UDP_HEADER_BYTES
-                          + payload),
-                group_sequence=group,
-                is_trailing_fragment=False,
-                more_fragments=False,
-                fragment_offset=0))
+            payloads.append((time, payload))
             sent += payload
-            group += 1
             ratio = (self.burst_ratio if time < self.burst_seconds else 1.0)
             mean_gap = payload * 8.0 / (rate_bps * ratio)
             shape = REAL_INTERARRIVAL_SHAPE
             time += self._rng.gammavariate(shape, mean_gap / shape)
-        return events
+        return payloads
 
 
 def flow_model_for(family: PlayerFamily, encoded_kbps: float,

@@ -12,7 +12,6 @@ the paper discusses via [FF99]).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -182,12 +181,12 @@ class IpLayer:
             raise PacketError("negative transport payload size")
         payload = payload or PayloadMeta()
         ip_payload = transport_header_bytes + transport_payload_bytes
-        max_ip_payload = self.mtu - units.IPV4_HEADER_BYTES
+        sizes = units.fragment_payloads(ip_payload, self.mtu)
         ident = self._next_ident
         self._next_ident += 1
         self.stats.datagrams_sent += 1
 
-        if ip_payload <= max_ip_payload:
+        if len(sizes) == 1:
             header = IPv4Header(src=self.host.address, dst=dst,
                                 protocol=protocol,
                                 total_length=units.IPV4_HEADER_BYTES + ip_payload,
@@ -202,27 +201,20 @@ class IpLayer:
             self._emit([packet])
             return [packet]
 
-        # Fragment: per-fragment payload must be a multiple of 8 bytes
-        # except for the last fragment.
-        chunk = (max_ip_payload // 8) * 8
-        count = math.ceil(ip_payload / chunk)
+        last = len(sizes) - 1
         packets: List[Packet] = []
-        remaining = ip_payload
         offset_bytes = 0
-        for index in range(count):
-            this_payload = min(chunk, remaining)
-            more = index < count - 1
+        for index, this_payload in enumerate(sizes):
             header = IPv4Header(src=self.host.address, dst=dst,
                                 protocol=protocol,
                                 total_length=units.IPV4_HEADER_BYTES + this_payload,
                                 identification=ident, ttl=ttl,
-                                more_fragments=more,
+                                more_fragments=index < last,
                                 fragment_offset=offset_bytes // 8)
             packets.append(Packet(ip=header,
                                   transport=transport if index == 0 else None,
                                   payload=payload, datagram_id=ident))
             offset_bytes += this_payload
-            remaining -= this_payload
         self.stats.fragments_sent += len(packets)
         if self._telemetry is not None:
             self._ctr_fragments.inc(len(packets))

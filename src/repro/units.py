@@ -15,6 +15,8 @@ UDP payload in an unfragmented datagram.
 
 from __future__ import annotations
 
+from typing import List
+
 KILO = 1000
 MEGA = 1000 * 1000
 
@@ -87,3 +89,24 @@ def transmission_delay(nbytes: float, rate_bps: float) -> float:
 def wire_frame_bytes(ip_packet_bytes: int) -> int:
     """Total Ethernet wire bytes for an IP packet of the given size."""
     return int(ip_packet_bytes) + ETHERNET_HEADER_BYTES
+
+
+def fragment_payloads(ip_payload: int,
+                      mtu: int = DEFAULT_MTU_BYTES) -> List[int]:
+    """IP payload bytes of each packet a datagram leaves as.
+
+    One packet when ``ip_payload`` fits the MTU behind an IP header.
+    Otherwise full fragments of the largest multiple of 8 bytes that
+    fits (fragment offsets count 8-byte units), then the remainder.
+    The one fragmentation rule: the IP layer sends by it and the
+    Section IV traces are expanded by it.
+    """
+    max_payload = mtu - IPV4_HEADER_BYTES
+    if ip_payload <= max_payload:
+        return [ip_payload]
+    chunk = max_payload // 8 * 8
+    full, rest = divmod(ip_payload, chunk)
+    sizes = [chunk] * full
+    if rest:
+        sizes.append(rest)
+    return sizes

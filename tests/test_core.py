@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,7 @@ from repro.analysis.interarrival import first_of_group_interarrivals
 from repro.capture import serialize
 from repro.capture.reassembly import fragmentation_percent
 from repro.core.fitting import fit_flow, fit_profile
-from repro.core.generator import FlowReplayer, generate_flow
+from repro.core.generator import FlowReplayer, SyntheticFlow, generate_flow
 from repro.core.models import (
     MediaPlayerFlowModel,
     RealPlayerFlowModel,
@@ -25,6 +24,7 @@ from repro.core.models import (
 from repro.core.turbulence import TurbulenceProfile
 from repro.errors import AnalysisError, MediaError
 from repro.media.clip import PlayerFamily
+from repro.servers.realserver import buffering_ratio
 
 from .helpers import count_calls, make_fragment_train
 
@@ -47,27 +47,33 @@ class TestConditionSampling:
         assert mid / len(samples) == pytest.approx(0.70, abs=0.05)
 
 
+def schedule_trace(model, family, duration):
+    """The capture trace of one model's datagram schedule."""
+    return SyntheticFlow(family, model.encoded_kbps, duration,
+                         model.group_payloads(duration)).to_trace()
+
+
 class TestMediaPlayerFlowModel:
     def test_high_rate_schedule_is_grouped_cbr(self):
         model = MediaPlayerFlowModel(307.2, random.Random(1))
-        events = model.packet_schedule(10.0)
-        groups = {e.group_sequence for e in events}
+        trace = schedule_trace(model, PlayerFamily.WMP, 10.0)
+        groups = {r.identification for r in trace}
         # 100 ms ticks over 10 s -> ~100 groups of 3 packets.
         assert len(groups) == pytest.approx(100, abs=2)
-        full_groups = [e for e in events if e.group_sequence < len(groups) - 1]
+        full_groups = [r for r in trace if r.identification < len(groups)]
         per_group = len(full_groups) / (len(groups) - 1)
         assert per_group == pytest.approx(3.0, abs=0.1)
 
     def test_low_rate_never_fragments(self):
         model = MediaPlayerFlowModel(49.8, random.Random(1))
-        events = model.packet_schedule(30.0)
-        assert all(not e.is_fragment for e in events)
+        trace = schedule_trace(model, PlayerFamily.WMP, 30.0)
+        assert all(not r.is_fragment for r in trace)
 
     def test_byte_conservation(self):
         model = MediaPlayerFlowModel(307.2, random.Random(1))
-        events = model.packet_schedule(10.0)
-        payload = sum(e.ip_bytes - 20 for e in events)
-        udp_headers = len({e.group_sequence for e in events}) * 8
+        trace = schedule_trace(model, PlayerFamily.WMP, 10.0)
+        payload = sum(r.ip_bytes - 20 for r in trace)
+        udp_headers = len({r.identification for r in trace}) * 8
         media = payload - udp_headers
         assert media == pytest.approx(307_200 * 10 / 8, rel=0.01)
 
@@ -79,27 +85,26 @@ class TestMediaPlayerFlowModel:
 class TestRealPlayerFlowModel:
     def test_never_fragments(self):
         model = RealPlayerFlowModel(636.9, random.Random(1))
-        events = model.packet_schedule(20.0)
-        assert all(not e.is_fragment for e in events)
-        assert all(e.ip_bytes <= 1500 for e in events)
+        trace = schedule_trace(model, PlayerFamily.REAL, 20.0)
+        assert all(not r.is_fragment for r in trace)
+        assert all(r.ip_bytes <= 1500 for r in trace)
 
     def test_burst_front_loads_bytes(self):
-        model = RealPlayerFlowModel(36.0, random.Random(1),
-                                    burst_ratio=3.0, burst_seconds=20.0)
-        events = model.packet_schedule(120.0)
-        early = sum(e.wire_bytes for e in events if e.time < 20.0)
-        late = sum(e.wire_bytes for e in events if 25.0 <= e.time < 45.0)
-        assert early / max(late, 1) == pytest.approx(3.0, rel=0.35)
+        model = RealPlayerFlowModel(36.0, random.Random(1))
+        trace = schedule_trace(model, PlayerFamily.REAL, 120.0)
+        early = sum(r.wire_bytes for r in trace if r.time < 20.0)
+        late = sum(r.wire_bytes for r in trace if 25.0 <= r.time < 45.0)
+        assert early / max(late, 1) == pytest.approx(buffering_ratio(36.0),
+                                                     rel=0.35)
 
     def test_flow_ends_before_clip_duration(self):
         model = RealPlayerFlowModel(36.0, random.Random(1))
-        events = model.packet_schedule(120.0)
-        assert events[-1].time < 120.0 * 0.8
+        payloads = model.group_payloads(120.0)
+        assert payloads[-1][0] < 120.0 * 0.8
 
     def test_sizes_spread(self):
         model = RealPlayerFlowModel(217.6, random.Random(1))
-        events = model.packet_schedule(30.0)
-        sizes = [e.wire_bytes for e in events]
+        sizes = schedule_trace(model, PlayerFamily.REAL, 30.0).sizes()
         mean = sum(sizes) / len(sizes)
         assert min(sizes) / mean < 0.8
         assert max(sizes) / mean > 1.25
@@ -136,27 +141,7 @@ class TestSyntheticFlow:
     def test_same_seed_reproducible(self):
         first = generate_flow(PlayerFamily.REAL, 100.0, 20.0, seed=9)
         second = generate_flow(PlayerFamily.REAL, 100.0, 20.0, seed=9)
-        assert first.events == second.events
-
-    @pytest.mark.parametrize("family, kbps, packets, digest", [
-        (PlayerFamily.WMP, 49.8, 134, "176372354d3f1468af9d931439c2fc28"
-                                      "19bf99d8c082824f40adc46f0f5d41a4"),
-        (PlayerFamily.WMP, 307.2, 600, "48ce960254ac9d1b5cce731850c32f41"
-                                       "748d3d2a99ff2e95b4a52f2c274a7db3"),
-        (PlayerFamily.REAL, 36.0, 175, "ddc0f170984251fcbb15b93e89f4e8a4"
-                                       "5a2516b5f628190873c7efb4e714b45b"),
-        (PlayerFamily.REAL, 284.0, 890, "2abf772180b1b8df8e6a6dbb393a77b0"
-                                        "bbfb7fff4938ab4dc9cfee152619683e"),
-    ])
-    def test_generated_flow_is_pinned(self, family, kbps, packets, digest):
-        # Every event field of a seeded flow, at one low and one high
-        # rate per product: the Section IV models share their size and
-        # interval draws with the in-simulator pacers, and this holds
-        # those draws (values and RNG order) to history.
-        flow = generate_flow(family, kbps, 20.0, seed=11)
-        fields = repr([astuple(event) for event in flow.events])
-        assert flow.packet_count == packets
-        assert hashlib.sha256(fields.encode()).hexdigest() == digest
+        assert first.group_payloads() == second.group_payloads()
 
     @pytest.mark.parametrize("family, kbps, wire_bytes, trace, schedule", [
         (PlayerFamily.WMP, 49.8, 130_128,
@@ -174,9 +159,12 @@ class TestSyntheticFlow:
     ])
     def test_generated_flow_trace_is_pinned(self, family, kbps, wire_bytes,
                                             trace, schedule):
-        # The same flows in the terms every consumer reads: the capture
-        # trace (every record field, via the CSV serializer) and the
-        # datagram schedule a replayer sends.
+        # A seeded flow at one low and one high rate per product, in the
+        # terms every consumer reads: the capture trace (every record
+        # field, via the CSV serializer) and the datagram schedule a
+        # replayer sends.  The Section IV models share their size and
+        # interval draws with the in-simulator pacers, and this holds
+        # those draws (values and RNG order) to history.
         flow = generate_flow(family, kbps, 20.0, seed=11)
         text = serialize.dumps(flow.to_trace())
         assert hashlib.sha256(text.encode()).hexdigest() == trace
@@ -191,9 +179,9 @@ class TestSyntheticFlow:
     @given(kbps=st.floats(min_value=20.0, max_value=800.0))
     @settings(max_examples=25, deadline=None)
     def test_generated_rate_matches_request(self, kbps):
-        flow = generate_flow(PlayerFamily.WMP, kbps, 10.0, seed=1)
-        media_bytes = sum(e.ip_bytes - 20 for e in flow.events)
-        udp_overhead = len({e.group_sequence for e in flow.events}) * 8
+        trace = generate_flow(PlayerFamily.WMP, kbps, 10.0, seed=1).to_trace()
+        media_bytes = sum(r.ip_bytes - 20 for r in trace)
+        udp_overhead = len({r.identification for r in trace}) * 8
         implied_kbps = (media_bytes - udp_overhead) * 8 / 10.0 / 1000.0
         assert implied_kbps == pytest.approx(kbps, rel=0.02)
 

@@ -162,21 +162,21 @@ class TestPeriodicity:
 
     def test_cbr_flow_scores_high_at_its_tick(self):
         flow = generate_flow(PlayerFamily.WMP, 307.2, 30.0, seed=1)
-        times = [e.time for e in flow.events]
+        times = flow.to_trace().times()
         score = periodicity_score(times, period=0.100)
         assert score > 0.8
 
     def test_real_flow_scores_lower(self):
         flow = generate_flow(PlayerFamily.REAL, 284.0, 30.0, seed=1)
-        times = [e.time for e in flow.events]
+        times = flow.to_trace().times()
         wmp_flow = generate_flow(PlayerFamily.WMP, 307.2, 30.0, seed=1)
-        wmp_times = [e.time for e in wmp_flow.events]
+        wmp_times = wmp_flow.to_trace().times()
         assert (periodicity_score(times, 0.100)
                 < periodicity_score(wmp_times, 0.100) - 0.3)
 
     def test_dominant_period_finds_the_tick(self):
         flow = generate_flow(PlayerFamily.WMP, 307.2, 30.0, seed=1)
-        times = [e.time for e in flow.events]
+        times = flow.to_trace().times()
         period, score = dominant_period(times,
                                         [0.050, 0.100, 0.150, 0.200])
         assert period in (0.100, 0.200)  # harmonics both qualify
