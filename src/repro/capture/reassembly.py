@@ -71,12 +71,12 @@ def group_datagrams(trace: Trace) -> List[FragmentGroup]:
     ordered by the arrival time of their first captured packet.
     """
     groups: List[FragmentGroup] = []
-    open_groups: Dict[Tuple, FragmentGroup] = {}
+    open_groups: Dict[Tuple[int, int, int, str], FragmentGroup] = {}
     for record in trace:
         if not record.is_fragment:
             groups.append(FragmentGroup(records=[record]))
             continue
-        key = (record.src, record.dst, record.identification,
+        key = (record.src.value, record.dst.value, record.identification,
                record.protocol)
         group = open_groups.get(key)
         if group is None:
