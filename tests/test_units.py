@@ -1,8 +1,13 @@
 """Unit-conversion and wire-arithmetic tests."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import units
+from repro.analysis.fragmentation import expected_fragment_percent
 
 
 class TestRates:
@@ -63,3 +68,40 @@ class TestWireConstants:
 
     def test_wire_frame_bytes_adds_ethernet(self):
         assert units.wire_frame_bytes(1500) == 1514
+
+
+def reference_fragment_payloads(ip_payload, mtu):
+    """The split as ``IpLayer.send`` once wrote it inline: the reference
+    the one rule in ``units`` is held to."""
+    max_ip_payload = mtu - units.IPV4_HEADER_BYTES
+    if ip_payload <= max_ip_payload:
+        return [ip_payload]
+    chunk = (max_ip_payload // 8) * 8
+    count = math.ceil(ip_payload / chunk)
+    sizes = []
+    remaining = ip_payload
+    for _ in range(count):
+        this_payload = min(chunk, remaining)
+        sizes.append(this_payload)
+        remaining -= this_payload
+    return sizes
+
+
+class TestFragmentPayloads:
+    @given(ip_payload=st.integers(min_value=0, max_value=65_515),
+           mtu=st.integers(min_value=29, max_value=9_000))
+    # Exactly fills an MTU whose payload room is not 8-aligned.
+    @example(ip_payload=986, mtu=1006)
+    # A whole number of full 1480-byte fragments: no empty tail.
+    @example(ip_payload=2960, mtu=1500)
+    # 986 bytes of room: full fragments carry 984, not 986.
+    @example(ip_payload=2000, mtu=1006)
+    @settings(max_examples=300, deadline=None)
+    def test_one_rule_matches_the_ip_layer_loop(self, ip_payload, mtu):
+        sizes = units.fragment_payloads(ip_payload, mtu)
+        assert sizes == reference_fragment_payloads(ip_payload, mtu)
+        assert sum(sizes) == ip_payload
+        adu = ip_payload - units.UDP_HEADER_BYTES
+        if adu > 0:
+            n = len(units.fragment_payloads(adu + units.UDP_HEADER_BYTES))
+            assert expected_fragment_percent(adu) == 100.0 * (n - 1) / n
