@@ -24,11 +24,4 @@ def run_study(*args, **kwargs):
     return _run_study(*args, **kwargs)
 
 
-def all_figures():
-    """The artifact-generator registry (lazy import)."""
-    from repro.experiments.figures import ALL_FIGURES
-
-    return ALL_FIGURES
-
-
-__all__ = ["__version__", "all_figures", "run_study"]
+__all__ = ["__version__", "run_study"]

@@ -3,19 +3,15 @@
 Each of the paper's runs saw a different server, hence a different RTT
 and hop count; Figures 1 and 2 are the CDFs across runs.  The sampler
 here draws per-run conditions from the same distributions the Section
-IV models use, so one seed fully determines a study's network weather —
-and, via :func:`study_scenario`, its turbulence: the fault schedule a
-faulted study sweeps is derived from the same seed, the same way.
+IV models use, so one seed fully determines a study's network weather.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.models import sample_hop_count, sample_rtt
-from repro.faults.scenario import FaultScenario, build_scenario
 
 
 @dataclass(frozen=True)
@@ -44,18 +40,3 @@ def sample_conditions(rng: random.Random,
                              hop_count=sample_hop_count(rng),
                              loss_probability=loss_probability)
 
-
-def study_scenario(name: Optional[str], seed: int) -> Optional[FaultScenario]:
-    """The fault schedule a study derives from its seed.
-
-    The scenario counterpart of :func:`sample_conditions`: pure data
-    fully determined by ``(name, seed)``, so the sequential loop, a
-    pool worker, and the study cache all agree on what broke and when.
-    ``None`` (no scenario) passes through — the common, fault-free case.
-
-    Raises:
-        ReproError: for an unknown scenario name.
-    """
-    if name is None:
-        return None
-    return build_scenario(name, seed)

@@ -39,7 +39,6 @@ from repro.experiments.progress import (
     ProgressCallback,
 )
 from repro.experiments.spec import RunSpec, check_compatible, repair_armed
-from repro.players.base import PlayerRobustness
 from repro.players.mediatracker import MediaTracker
 from repro.players.realtracker import RealTracker
 from repro.players.stats import PlayerStats
@@ -314,7 +313,7 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
                                  probes_per_hop=1)
 
     sniffer = Sniffer(topology.client).start()
-    robustness = PlayerRobustness() if scenario is not None else None
+    robustness = scenario is not None
     feedback = 1.0 if scenario is not None else None
     if cc_armed:
         # Congestion control needs the report loop even on clean runs.
@@ -325,17 +324,16 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
 
         # ABR always keeps the watchdog armed: a lost segment-boundary
         # datagram would otherwise park the request loop forever.
-        abr_robustness = robustness or PlayerRobustness()
         real_player = AbrTracker(topology.client, real_host.address,
                                  family=PlayerFamily.REAL, config=abr,
                                  preroll_seconds=preroll_seconds,
                                  feedback_interval=feedback or 1.0,
-                                 robustness=abr_robustness)
+                                 robustness=True)
         wmp_player = AbrTracker(topology.client, wmp_host.address,
                                 family=PlayerFamily.WMP, config=abr,
                                 preroll_seconds=preroll_seconds,
                                 feedback_interval=feedback or 1.0,
-                                robustness=abr_robustness)
+                                robustness=True)
     else:
         player_repair = repair if repair_on else None
         real_player = RealTracker(topology.client, real_host.address,

@@ -18,7 +18,7 @@ from repro.cc.abr import AbrConfig, choose_rung
 from repro.media.clip import PlayerFamily
 from repro.netsim.addressing import IPAddress
 from repro.netsim.udp import UdpDatagram
-from repro.players.base import PlayerRobustness, StreamingClient
+from repro.players.base import StreamingClient
 from repro.servers.control import ControlRequest, RTSP_PORT
 from repro.telemetry.events import ABR_SWITCH
 
@@ -35,7 +35,7 @@ class AbrTracker(StreamingClient):
                  control_port: int = RTSP_PORT,
                  preroll_seconds: float = 5.0,
                  feedback_interval: Optional[float] = 1.0,
-                 robustness: Optional[PlayerRobustness] = None) -> None:
+                 robustness: bool = False) -> None:
         self.family = family
         super().__init__(host, server, control_port=control_port,
                          preroll_seconds=preroll_seconds,

@@ -45,7 +45,7 @@ DoneCallback = Callable[[PlayerStats], None]
 LATE_TOLERANCE = 0.25
 
 
-# The robustness policy's timings (see PlayerRobustness).
+# The robustness policy's timings (see StreamingClient's ``robustness``).
 
 #: Seconds between KEEPALIVE probes once the stream is playing.
 KEEPALIVE_INTERVAL = 2.0
@@ -63,18 +63,6 @@ STALL_TIMEOUT = 15.0
 RESUME_THRESHOLD_SECONDS = 2.0
 
 
-class PlayerRobustness:
-    """Graceful-degradation policy for a client under faults.
-
-    ``None`` on :class:`StreamingClient` (the default) keeps the
-    historical behavior exactly: no keepalives, no watchdog, no quality
-    ladder, no extra scheduled events — byte-identical no-fault runs.
-    The experiment runner passes a policy when a fault scenario is
-    attached, and always on the ABR transport.  The policy's timings
-    are the module constants above.
-    """
-
-
 class StreamingClient:
     """Base player: control/session plumbing and statistics.
 
@@ -83,6 +71,13 @@ class StreamingClient:
         server: the streaming server's address.
         control_port: the server's control port.
         preroll_seconds: delay-buffer preroll target.
+        robustness: arm the graceful-degradation policy for a client
+            under faults, timed by the module constants above.  False
+            (the default) keeps the historical behavior exactly: no
+            keepalives, no watchdog, no quality ladder, no extra
+            scheduled events — byte-identical no-fault runs.  The
+            experiment runner sets it when a fault scenario is
+            attached, and always on the ABR transport.
     """
 
     #: Which product this client models; subclasses set it.
@@ -95,7 +90,7 @@ class StreamingClient:
                  preroll_seconds: float = 5.0,
                  feedback_interval: Optional[float] = None,
                  transport: str = "UDP",
-                 robustness: Optional[PlayerRobustness] = None,
+                 robustness: bool = False,
                  repair: Optional[RepairConfig] = None) -> None:
         if transport not in ("UDP", "TCP"):
             raise ProtocolError(f"unknown media transport {transport!r}")
@@ -139,7 +134,7 @@ class StreamingClient:
         self.repair_config = (repair if repair is not None
                               and not repair.is_null else None)
         self._repair: Optional[ReceiverRepair] = None
-        # --- graceful degradation (inert when robustness is None) ---
+        # --- graceful degradation (inert unless robustness) ---
         self.robustness = robustness
         self.quality_controller: Optional[QualityController] = None
         self.session_lost = False
@@ -244,11 +239,11 @@ class StreamingClient:
         self._telemetry = telemetry
         self._spans = telemetry.spans if telemetry is not None else None
         resume_threshold = (RESUME_THRESHOLD_SECONDS
-                            if self.robustness is not None else None)
+                            if self.robustness else None)
         self.buffer = DelayBuffer(self.preroll_seconds, telemetry=telemetry,
                                   label=self.family.name.lower(),
                                   resume_threshold_seconds=resume_threshold)
-        if self.robustness is not None:
+        if self.robustness:
             self.quality_controller = QualityController(
                 telemetry=telemetry, label=self.family.name.lower())
         if telemetry is not None:
@@ -463,7 +458,7 @@ class StreamingClient:
         tracker uses this to request its first segment."""
 
     # ------------------------------------------------------------------
-    # Graceful degradation (robustness != None only)
+    # Graceful degradation (robustness only)
     # ------------------------------------------------------------------
     def _safe_send(self, message: object, wire_bytes: int) -> bool:
         """Send on the control connection, tolerating a dead one.
@@ -476,12 +471,12 @@ class StreamingClient:
             self._connection.send_message(message, wire_bytes)
             return True
         except SocketError:
-            if self.robustness is None:
+            if not self.robustness:
                 raise
             return False
 
     def _start_robustness(self) -> None:
-        if self.robustness is None:
+        if not self.robustness:
             return
         self.host.sim.schedule_in(KEEPALIVE_INTERVAL, self._keepalive_tick)
         self.host.sim.schedule_in(STALL_TIMEOUT, self._watchdog_tick)

@@ -18,7 +18,6 @@ import pickle
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments.conditions import study_scenario
 from repro.experiments.datasets import build_table1_library
 from repro.experiments.runner import (
     StudyResults,
@@ -100,13 +99,6 @@ class TestScenarioData:
             FaultEvent(at_frac=-0.1, action="link_down")
         with pytest.raises(ReproError):
             FaultEvent(at_frac=0.5, action="explode")
-
-    def test_study_scenario_passthrough(self):
-        assert study_scenario(None, SEED) is None
-        assert (study_scenario("degrade", SEED)
-                == build_scenario("degrade", SEED))
-        with pytest.raises(ReproError):
-            study_scenario("nope", SEED)
 
 
 class TestLinkFlapRecovery:
