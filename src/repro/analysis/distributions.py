@@ -11,10 +11,19 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv, methodcaller, mul
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
+
+_integer_ratio = methodcaller("as_integer_ratio")
+
+#: Bits of the scaled radicand in :func:`_sqrt_of_fraction`: two more
+#: than twice a float's precision, so the root keeps two guard bits.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
 
 
 @dataclass(frozen=True)
@@ -33,7 +42,7 @@ def summarize(values: Sequence[float]) -> SampleSummary:
     """Basic descriptive statistics.
 
     Raises:
-        AnalysisError: for an empty sample.
+        AnalysisError: for an empty sample or a NaN or infinite value.
     """
     if not values:
         raise AnalysisError("cannot summarize an empty sample")
@@ -41,9 +50,68 @@ def summarize(values: Sequence[float]) -> SampleSummary:
         count=len(values),
         mean=statistics.fmean(values),
         median=statistics.median(values),
-        std=statistics.pstdev(values) if len(values) > 1 else 0.0,
+        std=pstdev(values),
         minimum=min(values),
         maximum=max(values))
+
+
+def pstdev(values: Sequence[float]) -> float:
+    """The population standard deviation, correctly rounded.
+
+    Exact in integers: ``as_integer_ratio`` writes each int or float
+    as ``k / d`` with ``d`` a power of two, so scaling every numerator
+    to the largest denominator ``D`` loses nothing, and the variance
+    is ``(n·Σk² − (Σk)²) / (n²·D²)``.  Its square root is rounded once
+    (:func:`_sqrt_of_fraction`), so from Python 3.11 on this equals
+    the standard library's ``pstdev`` bit for bit, without its
+    ``Fraction`` sums.
+
+    Raises:
+        AnalysisError: for an empty sample or a NaN or infinite value.
+    """
+    if not values:
+        raise AnalysisError("cannot take the deviation of an empty sample")
+    try:
+        try:
+            numerators, denominators = zip(*map(float.as_integer_ratio,
+                                                values))
+        except TypeError:  # an int among the floats
+            numerators, denominators = zip(*map(_integer_ratio, values))
+    except (ValueError, OverflowError) as exc:
+        raise AnalysisError(
+            f"sample holds a non-finite value ({exc})") from exc
+    scale = max(denominators)
+    if scale == min(denominators):  # one denominator, as for sizes
+        scaled = numerators
+    else:
+        scaled = list(map(mul, numerators,
+                          map(floordiv, repeat(scale), denominators)))
+    count = len(scaled)
+    total = sum(scaled)
+    return _sqrt_of_fraction(count * sum(map(mul, scaled, scaled))
+                             - total * total,
+                             count * count * scale * scale)
+
+
+def _sqrt_of_fraction(numerator: int, denominator: int) -> float:
+    """The square root of ``numerator / denominator`` (a positive
+    denominator), correctly rounded to a float.
+
+    The fraction is scaled by an even power of two so its integer
+    square root has two bits beyond a float's precision; the lowest
+    bit is set when that root is inexact (round to odd), so the one
+    rounding to a float cannot double-round.  This is the method of
+    CPython 3.11's ``statistics._float_sqrt_of_frac``.
+    """
+    shift = (numerator.bit_length() - denominator.bit_length()
+             - _SQRT_BITS) // 2
+    if shift >= 0:
+        denominator <<= 2 * shift
+    else:
+        numerator <<= -2 * shift
+    root = math.isqrt(numerator // denominator)
+    root |= root * root * denominator != numerator
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -78,7 +146,8 @@ def histogram(values: Sequence[float], bin_width: Optional[float] = None,
     a Sturges bin count is used.
 
     Raises:
-        AnalysisError: for empty input or contradictory bin settings.
+        AnalysisError: for empty input, contradictory bin settings, or
+            a NaN or infinite value.
     """
     if not values:
         raise AnalysisError("cannot histogram an empty sample")
@@ -87,21 +156,27 @@ def histogram(values: Sequence[float], bin_width: Optional[float] = None,
     low, high = value_range if value_range else (min(values), max(values))
     if high <= low:
         high = low + (bin_width or 1.0)
-    if bin_width is None:
-        if bins is None:
-            bins = max(1, int(math.ceil(math.log2(len(values)) + 1)))
-        bin_width = (high - low) / bins
-    else:
-        bins = max(1, int(math.ceil((high - low) / bin_width)))
-    counts = [0] * bins
-    for value in values:
-        index = int((value - low) / bin_width)
-        if index < 0 or index >= bins:
-            if index == bins and value == high:
-                index = bins - 1
-            else:
-                continue  # outside the requested range
-        counts[index] += 1
+    try:
+        if bin_width is None:
+            if bins is None:
+                bins = max(1, int(math.ceil(math.log2(len(values)) + 1)))
+            bin_width = (high - low) / bins
+        else:
+            bins = max(1, int(math.ceil((high - low) / bin_width)))
+        counts = [0] * bins
+        # A NaN or an infinity reaches int() as a NaN or an infinity
+        # in the bin count or in its own bin index.
+        for value in values:
+            index = int((value - low) / bin_width)
+            if index < 0 or index >= bins:
+                if index == bins and value == high:
+                    index = bins - 1
+                else:
+                    continue  # outside the requested range
+            counts[index] += 1
+    except (ValueError, OverflowError) as exc:
+        raise AnalysisError(
+            f"cannot bin a non-finite value or span ({exc})") from exc
     return [(low + (index + 0.5) * bin_width, counts[index])
             for index in range(bins)]
 
@@ -127,11 +202,15 @@ def pdf(values: Sequence[float], bin_width: Optional[float] = None,
 def cdf(values: Sequence[float]) -> List[Tuple[float, float]]:
     """The empirical CDF as (value, cumulative fraction) steps.
 
+    Infinities sort to the ends like any value; a NaN has no place.
+
     Raises:
-        AnalysisError: for an empty sample.
+        AnalysisError: for an empty sample or one holding a NaN.
     """
     if not values:
         raise AnalysisError("cannot compute a CDF of an empty sample")
+    if any(map(math.isnan, values)):
+        raise AnalysisError("cannot compute a CDF of a sample holding NaN")
     ordered = sorted(values)
     count = len(ordered)
     points: List[Tuple[float, float]] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import statistics
 from typing import List, Sequence
 
-from repro.analysis.distributions import SampleSummary
+from repro.analysis.distributions import SampleSummary, pstdev
 from repro.errors import AnalysisError
 
 
@@ -36,16 +36,18 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     gaps; RealPlayer's CV is substantially larger.
 
     Raises:
-        AnalysisError: for empty input or a zero mean.
+        AnalysisError: for empty input, a NaN or infinite value, or a
+            zero mean.
     """
     if not values:
         raise AnalysisError("cannot compute CV of an empty sample")
+    std = pstdev(values)
     mean = statistics.fmean(values)
     if mean == 0:
         raise AnalysisError("cannot compute CV with a zero mean")
     if len(values) == 1:
         return 0.0
-    return statistics.pstdev(values) / mean
+    return std / mean
 
 
 def summary_cv(summary: SampleSummary) -> float:

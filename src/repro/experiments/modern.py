@@ -29,7 +29,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.distributions import percentile
+from repro.analysis.distributions import percentile, pstdev
 from repro.analysis.interarrival import first_of_group_interarrivals
 from repro.capture.reassembly import fragmentation_percent
 from repro.cc.abr import AbrConfig
@@ -103,7 +103,7 @@ def _interarrival_cv(study: StudyResults) -> Optional[float]:
                 continue
             mean = statistics.fmean(gaps)
             if mean > 0:
-                cvs.append(statistics.pstdev(gaps) / mean)
+                cvs.append(pstdev(gaps) / mean)
     return _mean(cvs)
 
 

@@ -1,9 +1,11 @@
 """Analysis-toolkit tests: distributions, series, trends, reporting."""
 
 import math
+import statistics
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bandwidth import average_kbps, bandwidth_series
@@ -18,6 +20,7 @@ from repro.analysis.distributions import (
     histogram,
     pdf,
     percentile,
+    pstdev,
     summarize,
 )
 from repro.analysis.fragmentation import (
@@ -56,6 +59,54 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
             summarize([])
+
+
+#: Value kinds the figures feed the deviation, and its hard cases.
+_DEVIATION_VALUES = [
+    st.integers(-10**6, 10**6).map(float),  # integral floats: sizes
+    st.floats(0.0, 1e-3),  # sub-millisecond gaps
+    st.floats(-1e-307, 1e-307),  # subnormals and the smallest normals
+    st.floats(-1e300, 1e300),  # magnitudes up to 1e300, negatives
+    st.integers(-2**200, 2**200),  # big ints
+    st.integers(-1000, 1000),  # small ints
+]
+_DEVIATION_SAMPLES = st.one_of(
+    *(st.lists(kind, min_size=2, max_size=200)
+      for kind in _DEVIATION_VALUES),
+    # int/float mixes and mixed magnitudes
+    st.lists(st.one_of(*_DEVIATION_VALUES), min_size=2, max_size=200),
+    # heavy ties: a few values, each repeated
+    st.lists(st.one_of(*_DEVIATION_VALUES), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2,
+                              max_size=200)),
+)
+
+
+class TestPstdev:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="the stdlib pstdev rounds twice before 3.11")
+    @given(_DEVIATION_SAMPLES)
+    @example([35.0, 41.0, 54.0])  # a root that round-to-odd must fix
+    @example([0.0, -0.0])
+    @example([5e-324, 0.0])
+    @example([1e308, -1e308])
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_stdlib_bit_for_bit(self, values):
+        assert pstdev(values).hex() == statistics.pstdev(values).hex()
+
+    @pytest.mark.parametrize("values, expected", [
+        ([35.0, 41.0, 54.0], "0x1.fb893d98cd225p+2"),
+        ([0.0, -0.0], "0x0.0p+0"),
+        ([5e-324, 0.0], "0x0.0p+0"),  # exactly half the least subnormal
+        ([1e308, -1e308], (1e308).hex()),
+        ([7.5], "0x0.0p+0"),
+    ], ids=repr)
+    def test_correctly_rounded_examples(self, values, expected):
+        assert pstdev(values).hex() == expected
+
+    def test_empty_rejected(self):
+        with pytest.raises(AnalysisError, match="empty"):
+            pstdev([])
 
 
 class TestPercentile:
@@ -125,6 +176,11 @@ class TestCdf:
         with pytest.raises(AnalysisError):
             cdf([])
 
+    def test_infinities_sort_to_the_ends(self):
+        inf = float("inf")
+        assert cdf([inf, 1.0, -inf, 1.0]) == [(-inf, 0.25), (1.0, 0.75),
+                                               (inf, 1.0)]
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
@@ -134,6 +190,46 @@ class TestCdf:
         assert fractions[-1] == pytest.approx(1.0)
         assert all(0 < f <= 1.0 + 1e-9 for f in fractions)
         assert [v for v, _ in points] == sorted(set(values))
+
+
+NAN = float("nan")
+INF = float("inf")
+
+#: Samples holding a NaN or an infinity, beside a finite value or alone.
+NON_FINITE = [[1.0, NAN], [NAN, 1.0], [NAN], [1.0, INF], [1.0, -INF],
+              [INF]]
+#: The NaN samples alone: a CDF keeps the infinities, which sort.
+WITH_NAN = [values for values in NON_FINITE
+            if any(math.isnan(value) for value in values)]
+
+
+class TestNonFiniteSamples:
+    """Each helper's documented error is AnalysisError, NaN included."""
+
+    @pytest.mark.parametrize("values", NON_FINITE, ids=repr)
+    def test_summarize_refuses(self, values):
+        with pytest.raises(AnalysisError, match="non-finite"):
+            summarize(values)
+
+    @pytest.mark.parametrize("values", NON_FINITE, ids=repr)
+    def test_coefficient_of_variation_refuses(self, values):
+        with pytest.raises(AnalysisError, match="non-finite"):
+            coefficient_of_variation(values)
+
+    @pytest.mark.parametrize("binning", [
+        {"bins": 4}, {}, {"bin_width": 0.5},
+        {"bin_width": 0.5, "value_range": (0.0, 2.0)}], ids=repr)
+    @pytest.mark.parametrize("values", NON_FINITE, ids=repr)
+    def test_histogram_and_pdf_refuse(self, values, binning):
+        with pytest.raises(AnalysisError, match="non-finite"):
+            histogram(values, **binning)
+        with pytest.raises(AnalysisError, match="non-finite"):
+            pdf(values, **binning)
+
+    @pytest.mark.parametrize("values", WITH_NAN, ids=repr)
+    def test_cdf_refuses_nan(self, values):
+        with pytest.raises(AnalysisError, match="NaN"):
+            cdf(values)
 
 
 class TestInterarrivals:
