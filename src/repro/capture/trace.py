@@ -8,7 +8,8 @@ with the slicing/filtering operations the analysis package builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CaptureError
@@ -17,13 +18,22 @@ from repro.netsim.headers import IcmpHeader, TcpHeader, UdpHeader
 from repro.netsim.packet import Packet
 
 
-@dataclass(frozen=True)
+@dataclass
 class PacketRecord:
     """One captured packet, flattened for analysis.
 
     ``direction`` is ``"rx"`` (arriving at the capture host) or
     ``"tx"`` (sent by it); the paper's client-side captures are almost
     entirely ``rx`` media traffic.
+
+    A plain dataclass, like ``Datagram`` and ``PayloadMeta``: a frozen
+    one's ``__init__`` sets each field through ``object.__setattr__``,
+    about eight times the cost, and every capture and synthetic trace
+    builds thousands of rows.  Nothing mutates a row;
+    :func:`dataclasses.replace` makes a new one.  A row pickles as its
+    field values and is rebuilt through ``__init__``, the only way to
+    build one: a row given a fresh ``__dict__`` loses the shared-key
+    instance layout and takes three times the memory.
     """
 
     number: int
@@ -78,6 +88,13 @@ class PacketRecord:
             span_id=(packet.span.id if packet.span is not None else None),
             span_trace=(packet.span.trace
                         if packet.span is not None else None))
+
+    def __reduce__(self):
+        return PacketRecord, _field_values(self)
+
+
+#: A row's field values in field order: its pickled form.
+_field_values = attrgetter(*(spec.name for spec in fields(PacketRecord)))
 
 
 class Trace:
