@@ -32,10 +32,6 @@ DEFAULT_MTU_BYTES = 1500
 #: Maximum Ethernet wire frame observed in the paper's traces (1500 + 14).
 MAX_WIRE_FRAME_BYTES = DEFAULT_MTU_BYTES + ETHERNET_HEADER_BYTES
 
-#: IP payload carried by each non-final fragment of a 1500-byte-MTU path.
-#: Fragment offsets are in units of 8 bytes so this is already 8-aligned.
-FRAGMENT_PAYLOAD_BYTES = DEFAULT_MTU_BYTES - IPV4_HEADER_BYTES
-
 #: Largest UDP payload that fits in a single unfragmented IP packet.
 MAX_UNFRAGMENTED_UDP_PAYLOAD = DEFAULT_MTU_BYTES - IPV4_HEADER_BYTES - UDP_HEADER_BYTES
 

@@ -212,8 +212,9 @@ def _backlog_packet(total_length):
 @given(
     path=st.lists(_directions(), min_size=2, max_size=8),
     fragments=st.integers(min_value=1, max_value=9),
-    last_fragment=st.integers(min_value=8,
-                              max_value=units.FRAGMENT_PAYLOAD_BYTES),
+    last_fragment=st.integers(
+        min_value=8,
+        max_value=units.DEFAULT_MTU_BYTES - units.IPV4_HEADER_BYTES),
     late_entry=st.one_of(st.none(), st.tuples(
         st.integers(min_value=0, max_value=7),
         st.floats(min_value=0.0, max_value=0.3))),
@@ -266,7 +267,7 @@ def test_fused_walk_matches_train_schedule_chain(path, fragments,
 
     # UDP header plus payload fills ``fragments`` IP packets: full
     # ones, then one carrying ``last_fragment`` bytes of IP payload.
-    full = units.FRAGMENT_PAYLOAD_BYTES
+    full = units.DEFAULT_MTU_BYTES - units.IPV4_HEADER_BYTES
     payload = (fragments - 1) * full + last_fragment - 8
     wires = [units.wire_frame_bytes(units.IPV4_HEADER_BYTES + size)
              for size in [full] * (fragments - 1) + [last_fragment]]

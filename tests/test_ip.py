@@ -189,7 +189,8 @@ class TestFragmentationProperties:
         packets = pair.left.ip.send(pair.right.address, IpProtocol.UDP,
                                     header, units.UDP_HEADER_BYTES, payload)
         ip_payload = payload + units.UDP_HEADER_BYTES
-        expected = -(-ip_payload // units.FRAGMENT_PAYLOAD_BYTES)
+        full = units.DEFAULT_MTU_BYTES - units.IPV4_HEADER_BYTES
+        expected = -(-ip_payload // full)
         assert len(packets) == expected
         # Every fragment except the last is full-size on the wire.
         for packet in packets[:-1]:

@@ -61,7 +61,7 @@ class TestWireConstants:
         assert units.MAX_WIRE_FRAME_BYTES == 1514
 
     def test_fragment_payload(self):
-        assert units.FRAGMENT_PAYLOAD_BYTES == 1480
+        assert units.fragment_payloads(1481) == [1480, 1]
 
     def test_max_unfragmented_udp_payload(self):
         assert units.MAX_UNFRAGMENTED_UDP_PAYLOAD == 1472
