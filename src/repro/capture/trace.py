@@ -76,7 +76,7 @@ class PacketRecord:
             src=packet.ip.src, dst=packet.ip.dst,
             protocol=packet.ip.protocol.name,
             ip_bytes=packet.ip_bytes, wire_bytes=packet.wire_bytes,
-            ttl=packet.ip.ttl, identification=packet.ip.identification,
+            ttl=packet.ttl, identification=packet.ip.identification,
             is_fragment=packet.is_fragment,
             is_trailing_fragment=packet.is_trailing_fragment,
             more_fragments=packet.ip.more_fragments,

@@ -356,7 +356,7 @@ class FlowLevelDirector:
             return self._refuse(packets, entry_cache.reason)
         directions = entry_cache.directions
         routers = entry_cache.routers
-        if first.ip.ttl <= len(routers):
+        if first.ttl <= len(routers):
             return self._refuse(packets, REASON_TTL)
         for router in routers:
             if router.taps:

@@ -29,8 +29,10 @@ class IPv4Header:
     """The fields of an IPv4 header the study's analysis depends on.
 
     ``identification``, ``more_fragments`` and ``fragment_offset`` drive
-    the fragmentation analysis (Figures 4 and 5); ``ttl`` drives
-    tracert; ``total_length`` determines wire size.
+    the fragmentation analysis (Figures 4 and 5); ``total_length``
+    determines wire size.  The TTL, the one field a router rewrites,
+    is :attr:`repro.netsim.packet.Packet.ttl`, so a header is never
+    copied in flight.
     """
 
     src: IPAddress
@@ -38,7 +40,6 @@ class IPv4Header:
     protocol: IpProtocol
     total_length: int
     identification: int = 0
-    ttl: int = 128
     more_fragments: bool = False
     fragment_offset: int = 0  # in 8-byte units, as on the wire
 
@@ -65,21 +66,6 @@ class IPv4Header:
         analysis code counts trailing fragments.
         """
         return self.fragment_offset > 0
-
-    def decremented(self, hops: int = 1) -> "IPv4Header":
-        """A copy with TTL reduced by ``hops`` (router forwarding).
-
-        Copies the instance dict rather than going through
-        ``dataclasses.replace``: every other field is unchanged, so
-        there is nothing to re-validate, and this runs once per packet
-        per router.
-        """
-        header = object.__new__(IPv4Header)
-        fields = self.__dict__.copy()
-        fields["ttl"] -= hops
-        # The frozen __setattr__ refuses assignment; object's does not.
-        object.__setattr__(header, "__dict__", fields)
-        return header
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ def _icmp_packet(src: IPAddress, dst: IPAddress, header: IcmpHeader,
                  meta: Optional[PayloadMeta] = None) -> Packet:
     total = units.IPV4_HEADER_BYTES + units.ICMP_HEADER_BYTES + payload_bytes
     ip_header = IPv4Header(src=src, dst=dst, protocol=IpProtocol.ICMP,
-                           total_length=total, ttl=ttl)
-    return Packet(ip=ip_header, transport=header,
+                           total_length=total)
+    return Packet(ip=ip_header, ttl=ttl, transport=header,
                   payload=meta or PayloadMeta(kind="icmp"))
 
 

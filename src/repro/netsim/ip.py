@@ -190,9 +190,9 @@ class IpLayer:
             header = IPv4Header(src=self.host.address, dst=dst,
                                 protocol=protocol,
                                 total_length=units.IPV4_HEADER_BYTES + ip_payload,
-                                identification=ident, ttl=ttl)
-            packet = Packet(ip=header, transport=transport, payload=payload,
-                            datagram_id=ident)
+                                identification=ident)
+            packet = Packet(ip=header, ttl=ttl, transport=transport,
+                            payload=payload, datagram_id=ident)
             if self._telemetry is not None:
                 self._hist_fragments.observe(1)
             if self._spans is not None and payload.span is not None:
@@ -208,10 +208,10 @@ class IpLayer:
             header = IPv4Header(src=self.host.address, dst=dst,
                                 protocol=protocol,
                                 total_length=units.IPV4_HEADER_BYTES + this_payload,
-                                identification=ident, ttl=ttl,
+                                identification=ident,
                                 more_fragments=index < last,
                                 fragment_offset=offset_bytes // 8)
-            packets.append(Packet(ip=header,
+            packets.append(Packet(ip=header, ttl=ttl,
                                   transport=transport if index == 0 else None,
                                   payload=payload, datagram_id=ident))
             offset_bytes += this_payload

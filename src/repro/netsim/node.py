@@ -134,7 +134,7 @@ class Router(Node):
             # hop); everything else addressed to a router is dropped.
             self._handle_local(packet)
             return
-        if packet.ip.ttl <= 1:
+        if packet.ttl <= 1:
             self.ttl_expired += 1
             self._send_time_exceeded(packet)
             return

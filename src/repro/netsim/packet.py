@@ -35,7 +35,11 @@ class Packet:
     """One IP packet in flight.
 
     Attributes:
-        ip: the IPv4 header (sizes, fragmentation fields, TTL).
+        ip: the IPv4 header (addresses, sizes, fragmentation fields).
+        ttl: the IP time to live, which drives tracert.  It is the one
+            header value a router rewrites, so it lives on the packet:
+            the sender's ``ip`` header is shared, never copied, by every
+            hop's copy.
         transport: UDP/TCP/ICMP header; ``None`` on trailing fragments,
             which carry only raw IP payload, exactly as on the wire.
         payload: application metadata describing the carried bytes.
@@ -54,9 +58,13 @@ class Packet:
     different ``ip`` header must be built anew (the constructor or
     ``dataclasses.replace``), never made by assigning ``ip``.
     :meth:`forwarded` keeps them, since a TTL change keeps the size.
+    ``ttl`` is a field, not such an attribute, because it changes in
+    flight: ``dataclasses.replace``, copies, pickles and ``==`` all
+    carry the current value.
     """
 
     ip: IPv4Header
+    ttl: int = 128
     transport: Optional[TransportHeader] = None
     payload: PayloadMeta = field(default_factory=PayloadMeta)
     uid: int = field(default_factory=lambda: next(_packet_ids))
@@ -92,19 +100,21 @@ class Packet:
 
         Routers forward one hop at a time; the flow-level fast path
         delivers a packet across a whole path at once.  The copy is
-        built from this packet's attribute dict, sizes included, since
-        a validated packet needs no second ``__post_init__``.
+        one copy of this packet's attribute dict, sizes and ``ip``
+        header included, since a validated packet needs no second
+        ``__post_init__``.  It is still a copy: the sender, taps and
+        span records may hold the previous hop's packet.
 
         Raises:
             PacketError: if the TTL would go negative.
         """
-        if self.ip.ttl < hops:
+        if self.ttl < hops:
             raise PacketError(
-                f"cannot forward a packet with TTL {self.ip.ttl} "
+                f"cannot forward a packet with TTL {self.ttl} "
                 f"across {hops} hop(s)")
         packet = object.__new__(Packet)
         fields = self.__dict__.copy()
-        fields["ip"] = self.ip.decremented(hops)
+        fields["ttl"] -= hops
         fields["uid"] = next(_packet_ids)
         packet.__dict__ = fields
         return packet

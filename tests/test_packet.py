@@ -8,10 +8,16 @@ import pytest
 
 from repro import units
 from repro.errors import PacketError
+from repro.capture.sniffer import Sniffer
+from repro.media.clip import Clip, ClipEncoding, PlayerFamily
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
+from repro.netsim.flowlevel import FlowLevelConfig
 from repro.netsim.headers import IPv4Header, IpProtocol, PayloadMeta, UdpHeader
 from repro.netsim.packet import Packet
+from repro.netsim.topology import build_path_topology
+from repro.players.mediatracker import MediaTracker
+from repro.servers.wms import WindowsMediaServer
 
 from .conftest import HostPair
 
@@ -21,7 +27,7 @@ DST = IPAddress.parse("130.215.0.1")
 
 def make_header(**overrides):
     fields = dict(src=SRC, dst=DST, protocol=IpProtocol.UDP,
-                  total_length=1500, identification=7, ttl=64)
+                  total_length=1500, identification=7)
     fields.update(overrides)
     return IPv4Header(**fields)
 
@@ -45,12 +51,6 @@ class TestIPv4Header:
         assert header.is_fragment
         assert header.is_trailing_fragment
 
-    def test_decremented_reduces_ttl_only(self):
-        header = make_header(ttl=10)
-        lower = header.decremented()
-        assert lower.ttl == 9
-        assert lower.total_length == header.total_length
-
 
 class TestPacket:
     def test_wire_bytes_adds_ethernet_header(self):
@@ -73,21 +73,21 @@ class TestPacket:
         assert a.uid != b.uid
 
     def test_forwarded_decrements_ttl_keeps_identity(self):
-        packet = Packet(ip=make_header(ttl=5), datagram_id=99)
+        packet = Packet(ip=make_header(), ttl=5, datagram_id=99)
         forwarded = packet.forwarded()
-        assert forwarded.ip.ttl == 4
+        assert forwarded.ttl == 4
         assert forwarded.datagram_id == 99
         assert forwarded.transport is packet.transport
 
     def test_forwarding_dead_packet_rejected(self):
-        packet = Packet(ip=make_header(ttl=0))
+        packet = Packet(ip=make_header(), ttl=0)
         with pytest.raises(PacketError):
             packet.forwarded()
 
 
 def reference_forward(packet, hops):
     """The forward copy as ``dataclasses.replace`` builds it (same uid)."""
-    return replace(packet, ip=replace(packet.ip, ttl=packet.ip.ttl - hops))
+    return replace(packet, ttl=packet.ttl - hops)
 
 
 UDP = UdpHeader(src_port=1755, dst_port=7000, length=4008)
@@ -125,12 +125,13 @@ class TestForwardedCopy:
     """The light forward copy, and the sizes every copy carries:
     ``ip_bytes`` and ``wire_bytes`` are attributes computed once, not
     fields, so every path that builds a packet must get them right and
-    the dataclass surface (fields, equality) must not see them."""
+    the dataclass surface (fields, equality) must not see them.  The
+    TTL is a field, so a copy lowers it without copying the header."""
 
     @pytest.mark.parametrize("hops", [1, 3, 17])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_matches_the_replace_reference_field_for_field(self, shape, hops):
-        packet = Packet(ip=make_header(ttl=64, **SHAPES[shape]["header"]),
+        packet = Packet(ip=make_header(**SHAPES[shape]["header"]), ttl=64,
                         transport=SHAPES[shape]["transport"],
                         payload=PayloadMeta(kind="media", adu_sequence=3),
                         datagram_id=41, span=object())
@@ -140,34 +141,39 @@ class TestForwardedCopy:
             if field.name != "uid":
                 assert getattr(copy, field.name) == getattr(
                     reference, field.name), field.name
-        assert copy.ip.ttl == 64 - hops
-        assert copy.ip == reference.ip and copy.uid != reference.uid
+        assert copy.ttl == 64 - hops and copy.uid != reference.uid
+        assert copy.ip is packet.ip  # the sender's header, shared
+        assert packet.ttl == 64  # the original is untouched
         # Same field order and values, so the same bytes when pickled.
         assert pickle.dumps(copy) == pickle.dumps(
-            replace(reference, uid=copy.uid))
+            replace(packet, ttl=64 - hops, uid=copy.uid))
 
     def test_each_copy_draws_a_fresh_uid_and_shares_the_rest(self):
-        packet = Packet(ip=make_header(), transport=UDP, span=object())
+        packet = Packet(ip=make_header(), ttl=64, transport=UDP,
+                        span=object())
         first, second = packet.forwarded(), packet.forwarded(2)
         assert len({packet.uid, first.uid, second.uid}) == 3
         assert second.uid == first.uid + 1
         for copy in (first, second):
+            assert copy.ip is packet.ip
             assert copy.transport is packet.transport
             assert copy.payload is packet.payload
             assert copy.span is packet.span
-            assert copy.ip is not packet.ip
-        assert packet.ip.ttl == 64  # the original is untouched
+        assert (first.ttl, second.ttl) == (63, 62)
+        assert packet.ttl == 64  # the original is untouched
 
     def test_ttl_may_reach_zero_but_not_go_negative(self):
-        packet = Packet(ip=make_header(ttl=3))
-        assert packet.forwarded(3).ip.ttl == 0
+        packet = Packet(ip=make_header(), ttl=3)
+        assert packet.forwarded(3).ttl == 0
         with pytest.raises(PacketError):
             packet.forwarded(4)
 
-    def test_decremented_header_matches_replace(self):
-        header = make_header(ttl=20, more_fragments=True)
-        assert header.decremented(5) == replace(header, ttl=15)
-        assert header.ttl == 20
+    def test_replace_keeps_the_lowered_ttl(self):
+        # The TTL is a field, so rebuilding a forwarded packet cannot
+        # restore the sender's value.
+        copy = Packet(ip=make_header(), ttl=64).forwarded(3)
+        assert replace(copy, datagram_id=5).ttl == 61
+        assert pickle.loads(pickle.dumps(copy)).ttl == 61
 
     @staticmethod
     def assert_sizes(packet):
@@ -178,7 +184,7 @@ class TestForwardedCopy:
     @pytest.mark.parametrize("maker", sorted(MAKERS))
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_every_construction_path_sizes_the_packet(self, shape, maker):
-        packet = Packet(ip=make_header(ttl=64, **SHAPES[shape]["header"]),
+        packet = Packet(ip=make_header(**SHAPES[shape]["header"]), ttl=64,
                         transport=SHAPES[shape]["transport"])
         self.assert_sizes(MAKERS[maker](packet))
 
@@ -195,7 +201,8 @@ class TestForwardedCopy:
 
     def test_sizes_are_not_dataclass_fields(self):
         assert [f.name for f in fields(Packet)] == [
-            "ip", "transport", "payload", "uid", "datagram_id", "span"]
+            "ip", "ttl", "transport", "payload", "uid", "datagram_id",
+            "span"]
 
     def test_equality_still_compares_the_fields_alone(self):
         packet = Packet(ip=make_header(), transport=UDP, span=object())
@@ -203,4 +210,34 @@ class TestForwardedCopy:
         assert pickle.loads(pickle.dumps(packet)) == packet
         assert replace(packet, span=None) == packet  # span: compare=False
         assert replace(packet, datagram_id=1) != packet
+        assert replace(packet, ttl=1) != packet
         assert packet.forwarded(0) != packet  # a fresh uid
+
+
+class TestTtlAcrossAPath:
+    """Every packet a client captures has lost one TTL per router,
+    whether the routers forwarded it hop by hop or the flow-level fast
+    path delivered it across the whole path at once."""
+
+    @pytest.mark.parametrize("fast_path", [None, FlowLevelConfig()],
+                             ids=["packet-level", "fast-path"])
+    def test_rx_rows_carry_the_sender_ttl_minus_the_routers(self,
+                                                            fast_path):
+        sim = Simulator(seed=7, fast_path=fast_path)
+        path = build_path_topology(sim, hop_count=17, rtt=0.040)
+        server = WindowsMediaServer(path.server)
+        server.add_clip(Clip(
+            title="news-m", genre="News", duration=10.0,
+            encoding=ClipEncoding(family=PlayerFamily.WMP,
+                                  encoded_kbps=307.2,
+                                  advertised_kbps=300.0)))
+        sniffer = Sniffer(path.client).start()
+        MediaTracker(path.client, path.server.address).play("news-m")
+        sim.run(until=40.0)
+        trace = sniffer.stop()
+        assert len(path.routers) == 16
+        # The client's own requests leave with the sender's TTL.
+        assert {(row.direction, row.ttl) for row in trace} == {
+            ("rx", 128 - 16), ("tx", 128)}
+        if fast_path is not None:
+            assert sim.fast_path.packets_fast > 0
