@@ -4,15 +4,14 @@ Figure 3 overlays "second order polynomial trend curves" on the
 playback-rate-versus-encoding-rate scatter for each player.  This
 module wraps :func:`numpy.polyfit` with the small amount of structure
 the experiment needs: a fitted-trend object that can be evaluated and
-compared against the ``y = x`` reference line.
+compared against the ``y = x`` reference line.  numpy is imported on
+first use: every ``repro.experiments`` import reaches this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import AnalysisError
 
@@ -28,6 +27,7 @@ class PolynomialTrend:
         return len(self.coefficients) - 1
 
     def __call__(self, x: float) -> float:
+        import numpy as np
         return float(np.polyval(self.coefficients, x))
 
     def mean_offset_from_identity(self, xs: Sequence[float]) -> float:
@@ -37,6 +37,7 @@ class PolynomialTrend:
         RealPlayer (plays back above the encoding rate), ~zero for
         Windows Media Player.
         """
+        import numpy as np
         if not xs:
             raise AnalysisError("no evaluation points")
         return float(np.mean([self(x) - x for x in xs]))
@@ -52,6 +53,7 @@ def fit_polynomial_trend(xs: Sequence[float], ys: Sequence[float],
     Raises:
         AnalysisError: for empty or mismatched inputs.
     """
+    import numpy as np
     if len(xs) != len(ys):
         raise AnalysisError(f"mismatched lengths: {len(xs)} vs {len(ys)}")
     if not xs:

@@ -2,12 +2,15 @@
 
 import math
 import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.bandwidth import average_kbps, bandwidth_series
 from repro.analysis.buffering import (
     buffering_ratio_vs_playout,
@@ -474,6 +477,24 @@ class TestTrends:
             fit_polynomial_trend([], [])
         with pytest.raises(AnalysisError):
             fit_polynomial_trend([1.0], [1.0, 2.0])
+
+    def test_sweep_imports_leave_numpy_unloaded(self):
+        # Only Figure 3's fit needs numpy, so importing what a sweep
+        # and its figures use must not load it.  A fresh interpreter,
+        # since this one may have loaded numpy already.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        modules = ["experiments.parallel", "experiments.runner",
+                   "experiments.datasets", "experiments.figures",
+                   "faults.scenario", "media.library", "netsim.flowlevel",
+                   "repair.base", "validate.differential"]
+        code = ("import importlib, sys; sys.path.insert(0, sys.argv[1])\n"
+                "for name in sys.argv[2:]:\n"
+                "    importlib.import_module('repro.' + name)\n"
+                "print('numpy' in sys.modules)")
+        child = subprocess.run([sys.executable, "-c", code, src, *modules],
+                               capture_output=True, text=True, timeout=120,
+                               check=True)
+        assert child.stdout.strip() == "False"
 
 
 class TestReport:
