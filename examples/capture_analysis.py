@@ -14,6 +14,7 @@ Run:
 import io
 import statistics
 
+from repro.analysis import coefficient_of_variation
 from repro.analysis.interarrival import (
     first_of_group_interarrivals,
     trace_interarrivals,
@@ -61,8 +62,9 @@ def main() -> None:
           "(1 UDP packet + IP fragments)")
 
     # Interarrival denoising (Figure 9's reduction).
-    raw_cv = _cv(trace_interarrivals(media))
-    grouped_cv = _cv(first_of_group_interarrivals(media))
+    raw_cv = coefficient_of_variation(trace_interarrivals(media))
+    grouped_cv = coefficient_of_variation(
+        first_of_group_interarrivals(media))
     print(f"interarrival CV: raw={raw_cv:.2f} -> first-of-group="
           f"{grouped_cv:.2f} (fragment noise removed)")
 
@@ -74,11 +76,6 @@ def main() -> None:
     print(f"pcap round trip: {len(reloaded)} packets, "
           f"first frame {reloaded[0].wire_bytes} wire bytes "
           f"({reloaded[0].protocol})")
-
-
-def _cv(values):
-    mean = statistics.fmean(values)
-    return statistics.pstdev(values) / mean if mean else 0.0
 
 
 if __name__ == "__main__":
