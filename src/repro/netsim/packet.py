@@ -99,8 +99,8 @@ class Packet:
         ``hops``, a fresh uid, every other field shared with this packet.
 
         Routers forward one hop at a time; the flow-level fast path
-        delivers a packet across a whole path at once.  The copy is
-        one copy of this packet's attribute dict, sizes and ``ip``
+        delivers a packet across a whole path at once.  It copies this
+        packet's attribute dict once, sizes and the shared ``ip``
         header included, since a validated packet needs no second
         ``__post_init__``.  It is still a copy: the sender, taps and
         span records may hold the previous hop's packet.

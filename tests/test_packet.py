@@ -7,8 +7,8 @@ from dataclasses import fields, replace
 import pytest
 
 from repro import units
-from repro.errors import PacketError
 from repro.capture.sniffer import Sniffer
+from repro.errors import PacketError
 from repro.media.clip import Clip, ClipEncoding, PlayerFamily
 from repro.netsim.addressing import IPAddress
 from repro.netsim.engine import Simulator
