@@ -17,7 +17,7 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.capture.pcap import write_pcap
-from repro.core.fitting import fit_profile
+from repro.core.fitting import fit_schedule
 from repro.core.generator import generate_flow
 from repro.core.models import sample_hop_count, sample_rtt
 from repro.core.turbulence import TurbulenceProfile
@@ -45,8 +45,8 @@ def main(output_path: str = "synthetic_wmp_300k.pcap") -> None:
     exported = None
     for family, kbps, duration in scenarios:
         flow = generate_flow(family, kbps, duration, seed=7)
-        profile = fit_profile(flow.to_trace(), kbps,
-                              label=f"{family.value} {kbps:.0f}K")
+        profile = fit_schedule(flow, kbps,
+                               label=f"{family.value} {kbps:.0f}K").profile
         rows.append(profile.summary_row())
         if family == PlayerFamily.WMP and kbps > 300 and exported is None:
             exported = flow

@@ -10,7 +10,7 @@ time relative to the first observation.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.capture.trace import Trace
 from repro.errors import AnalysisError
@@ -27,16 +27,30 @@ def bandwidth_series(trace: Trace, interval: float = 1.0,
     Raises:
         AnalysisError: for an empty trace or nonpositive interval.
     """
+    return rate_series(trace.times(), trace.sizes(wire), interval)
+
+
+def rate_series(times: Sequence[float], nbytes: Sequence[int],
+                interval: float = 1.0) -> List[Tuple[float, float]]:
+    """Rate per interval of ``nbytes[i]`` bytes seen at ``times[i]``.
+
+    The one bucket loop behind :func:`bandwidth_series`: a trace feeds
+    it one sample per record, a Section IV schedule one per datagram
+    (its packets' wire bytes summed).  The byte sums are integers, so
+    both give the same series.  ``times`` are in capture order.
+
+    Raises:
+        AnalysisError: for no samples or a nonpositive interval.
+    """
     if interval <= 0:
         raise AnalysisError("interval must be positive")
-    if len(trace) == 0:
+    if not times:
         raise AnalysisError("cannot compute bandwidth of an empty trace")
-    origin = trace[0].time
-    horizon = trace[-1].time - origin
+    origin = times[0]
+    horizon = times[-1] - origin
     buckets = [0] * (int(math.floor(horizon / interval)) + 1)
-    for record in trace:
-        index = int((record.time - origin) / interval)
-        buckets[index] += record.wire_bytes if wire else record.ip_bytes
+    for time, amount in zip(times, nbytes):
+        buckets[int((time - origin) / interval)] += amount
     return [(index * interval, total * 8.0 / interval / 1000.0)
             for index, total in enumerate(buckets)]
 

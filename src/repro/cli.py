@@ -627,10 +627,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.capture.pcap import write_pcap
     from repro.capture.serialize import write_csv
-    from repro.core.fitting import fit_profile
+    from repro.core.fitting import fit_schedule
     from repro.core.generator import generate_flow
     from repro.core.turbulence import TurbulenceProfile
     from repro.analysis.report import format_table
+    from repro.errors import AnalysisError
     from repro.media.clip import PlayerFamily
 
     _check_positive("kbps", args.kbps)
@@ -638,20 +639,30 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     family = (PlayerFamily.REAL if args.family == "real"
               else PlayerFamily.WMP)
     flow = generate_flow(family, args.kbps, args.duration, seed=args.seed)
-    trace = flow.to_trace()
-    profile = fit_profile(trace, args.kbps,
-                          label=f"{args.family} {args.kbps:.0f}K")
+    try:
+        profile = fit_schedule(flow, args.kbps,
+                               label=f"{args.family} {args.kbps:.0f}K").profile
+    except AnalysisError as exc:
+        packets, datagrams = flow.packet_count, len(flow.payloads)
+        raise _UsageError(
+            f"error: the flow is too short to profile: {packets} "
+            f"packet{'s' * (packets != 1)} in {datagrams} "
+            f"datagram{'s' * (datagrams != 1)}, and a profile needs at "
+            "least 4 packets in 2 datagrams; give a longer duration"
+        ) from exc
     print(f"generated {flow.packet_count} packets "
           f"({flow.total_wire_bytes / 1024:.0f} KiB) over "
           f"{flow.streaming_duration:.1f}s")
     print(format_table(TurbulenceProfile.SUMMARY_HEADERS,
                        [profile.summary_row()]))
-    if args.pcap:
-        write_pcap(trace, args.pcap)
-        print(f"wrote {args.pcap}")
-    if args.csv:
-        write_csv(trace, args.csv)
-        print(f"wrote {args.csv}")
+    if args.pcap or args.csv:
+        trace = flow.to_trace()
+        if args.pcap:
+            write_pcap(trace, args.pcap)
+            print(f"wrote {args.pcap}")
+        if args.csv:
+            write_csv(trace, args.csv)
+            print(f"wrote {args.csv}")
     return 0
 
 

@@ -14,13 +14,14 @@ Two artifacts survive from the study:
    Figure 5, and the Real burst from Figure 11.
    :class:`MediaPlayerFlowModel` and :class:`RealPlayerFlowModel` are
    that recipe, generating datagram schedules with no simulator
-   required (and replayable into one).  :meth:`SyntheticFlow.to_trace`
-   expands each datagram into packets by the IP layer's own rule
-   (:func:`repro.units.fragment_payloads`); there is no second packet
-   type.
+   required (and replayable into one).  :func:`fit_schedule` fits a
+   generated flow from its schedule, to the profile its trace gives;
+   :meth:`SyntheticFlow.to_trace` expands each datagram into packets by
+   the IP layer's own rule (:func:`repro.units.fragment_payloads`) for
+   export, with no second packet type.
 """
 
-from repro.core.fitting import fit_profile
+from repro.core.fitting import fit_profile, fit_schedule
 from repro.core.generator import FlowReplayer, SyntheticFlow, generate_flow
 from repro.core.models import (
     MediaPlayerFlowModel,
@@ -38,6 +39,7 @@ __all__ = [
     "SyntheticFlow",
     "TurbulenceProfile",
     "fit_profile",
+    "fit_schedule",
     "flow_model_for",
     "generate_flow",
     "sample_hop_count",

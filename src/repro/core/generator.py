@@ -5,9 +5,10 @@ Ties the Section IV models to the rest of the library:
 * :func:`generate_flow` produces a :class:`SyntheticFlow` for a family
   and encoding rate;
 * :meth:`SyntheticFlow.to_trace` converts it into a capture-compatible
-  :class:`~repro.capture.trace.Trace`, so the same analysis (and the
-  same profile fitting) runs on generated traffic — the round-trip
-  validation the Section IV bench performs;
+  :class:`~repro.capture.trace.Trace` for export (pcap, CSV) and for
+  any trace analysis; the Section IV round trip fits the schedule
+  itself (:func:`repro.core.fitting.fit_schedule`), to the values
+  this trace gives;
 * :class:`FlowReplayer` injects the flow into a live simulation as an
   unresponsive UDP source (background traffic for congestion studies).
 """
@@ -46,7 +47,7 @@ class SyntheticFlow:
     duration: float
     payloads: List[Tuple[float, int]] = field(default_factory=list)
 
-    def _datagrams(self) -> Iterator[Tuple[float, List[int]]]:
+    def datagrams(self) -> Iterator[Tuple[float, List[int]]]:
         """(send time, IP payload bytes of each packet) per datagram."""
         for time, payload in self.payloads:
             yield time, units.fragment_payloads(
@@ -54,12 +55,12 @@ class SyntheticFlow:
 
     @property
     def packet_count(self) -> int:
-        return sum(len(sizes) for _, sizes in self._datagrams())
+        return sum(len(sizes) for _, sizes in self.datagrams())
 
     @property
     def total_wire_bytes(self) -> int:
         return sum(units.wire_frame_bytes(units.IPV4_HEADER_BYTES + size)
-                   for _, sizes in self._datagrams() for size in sizes)
+                   for _, sizes in self.datagrams() for size in sizes)
 
     @property
     def streaming_duration(self) -> float:
@@ -68,6 +69,11 @@ class SyntheticFlow:
         if not self.payloads:
             return 0.0
         return self.payloads[-1][0] - self.payloads[0][0]
+
+    @property
+    def description(self) -> str:
+        """The trace's description, and the default fit label."""
+        return f"synthetic {self.family.value} {self.encoded_kbps:.0f}Kbps"
 
     def group_payloads(self) -> List[Tuple[float, int]]:
         """(time, UDP payload bytes) per datagram group — the schedule
@@ -83,30 +89,22 @@ class SyntheticFlow:
         first shows the UDP ports, as on the wire.
         """
         records = []
-        for datagram, (time, sizes) in enumerate(self._datagrams(), start=1):
+        for datagram, (time, sizes) in enumerate(self.datagrams(), start=1):
             last = len(sizes) - 1
             offset = 0
             for index, size in enumerate(sizes):
                 ip_bytes = units.IPV4_HEADER_BYTES + size
                 first = index == 0
+                # Positional, in PacketRecord's field order (pinned by
+                # tests/test_trace.py): keywords cost ~3x per row.
                 records.append(PacketRecord(
-                    number=len(records) + 1, time=time, direction="rx",
-                    src=src, dst=dst, protocol="UDP",
-                    ip_bytes=ip_bytes,
-                    wire_bytes=units.wire_frame_bytes(ip_bytes),
-                    ttl=114, identification=datagram,
-                    is_fragment=last > 0,
-                    is_trailing_fragment=not first,
-                    more_fragments=index < last,
-                    fragment_offset=offset // 8,
-                    src_port=src_port if first else None,
-                    dst_port=dst_port if first else None,
-                    payload_kind="media",
-                    datagram_id=datagram))
+                    len(records) + 1, time, "rx", src, dst, "UDP",
+                    ip_bytes, units.wire_frame_bytes(ip_bytes), 114,
+                    datagram, last > 0, not first, index < last,
+                    offset // 8, src_port if first else None,
+                    dst_port if first else None, "media", None, datagram))
                 offset += size
-        return Trace(records,
-                     description=(f"synthetic {self.family.value} "
-                                  f"{self.encoded_kbps:.0f}Kbps"))
+        return Trace(records, description=self.description)
 
 
 def generate_flow(family: PlayerFamily, encoded_kbps: float,

@@ -5,7 +5,8 @@ profiles from the study's *measured* flows, generate *synthetic* flows
 with the Section IV models at the same encoding rates, re-fit profiles
 from the synthetic traces, and check that the synthetic traffic
 preserves the findings — fragmentation share, CBR-ness, burst ratio,
-and product classification.
+and product classification.  A synthetic flow is fitted from its
+datagram schedule (``fit_schedule``), to the values its trace gives.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import statistics
 
 from repro.analysis.compare import ks_statistic
-from repro.core.fitting import fit_flow
+from repro.core.fitting import fit_flow, fit_schedule
 from repro.core.generator import generate_flow
 from repro.errors import ExperimentError
 from repro.experiments.figures.base import FigureResult
@@ -48,9 +49,8 @@ def generate(study: StudyResults) -> FigureResult:
             synthetic_flow = generate_flow(family, clip.encoded_kbps,
                                            clip.duration,
                                            seed=run.set_number * 100)
-            synthetic = fit_flow(synthetic_flow.to_trace(),
-                                 clip.encoded_kbps,
-                                 label=f"synthetic {clip.label()}")
+            synthetic = fit_schedule(synthetic_flow, clip.encoded_kbps,
+                                     label=f"synthetic {clip.label()}")
             # Distribution agreement: KS distance between measured and
             # synthetic packet sizes and datagram-group interarrivals.
             ks_size = ks_statistic(measured.sizes, synthetic.sizes)

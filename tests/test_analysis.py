@@ -11,7 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis.bandwidth import average_kbps, bandwidth_series
+from repro import units
+from repro.analysis.bandwidth import (
+    average_kbps,
+    bandwidth_series,
+    rate_series,
+)
 from repro.analysis.buffering import (
     buffering_ratio_vs_playout,
     detect_buffering_phase,
@@ -44,7 +49,9 @@ from repro.analysis.normalize import (
 from repro.analysis.report import ascii_plot, format_table, render_cdf
 from repro.analysis.trends import fit_polynomial_trend
 from repro.capture.trace import Trace
+from repro.core.generator import generate_flow
 from repro.errors import AnalysisError
+from repro.media.clip import PlayerFamily
 from repro.media.library import RateBand
 
 from .helpers import make_fragment_train, make_record
@@ -341,7 +348,21 @@ class TestBandwidthSeries:
         with pytest.raises(AnalysisError):
             bandwidth_series(self.make_trace(), interval=0)
         with pytest.raises(AnalysisError):
+            rate_series([], [], interval=1.0)
+        with pytest.raises(AnalysisError):
             average_kbps([])
+
+    def test_schedule_fed_per_datagram_matches_its_trace(self):
+        # Each datagram's packets share its send time, so bucketing the
+        # datagram's summed wire bytes gives the trace's series.
+        flow = generate_flow(PlayerFamily.WMP, 307.2, 20.0, seed=11)
+        times = [time for time, _ in flow.payloads]
+        nbytes = [sum(units.wire_frame_bytes(units.IPV4_HEADER_BYTES + size)
+                      for size in units.fragment_payloads(
+                          payload + units.UDP_HEADER_BYTES))
+                  for _, payload in flow.payloads]
+        assert rate_series(times, nbytes) == bandwidth_series(
+            flow.to_trace())
 
 
 class TestBuffering:

@@ -31,6 +31,24 @@ class TestGenerateCommand:
         assert len(read_pcap(pcap_path)) > 0
         assert len(read_csv(csv_path)) > 0
 
+    @pytest.mark.parametrize("argv, counts", [
+        (["wmp", "307.2", "0.05"], "2 packets in 1 datagram,"),
+        (["real", "20", "0.3"], "2 packets in 2 datagrams,"),
+    ])
+    def test_short_flow_exits_two_before_writing(self, argv, counts,
+                                                 tmp_path, capsys):
+        pcap_path = tmp_path / "flow.pcap"
+        csv_path = tmp_path / "flow.csv"
+        assert main(["generate", *argv, "--seed", "1", "--pcap",
+                     str(pcap_path), "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "too short to profile" in captured.err
+        assert counts in captured.err
+        assert not pcap_path.exists()
+        assert not csv_path.exists()
+
 
 class TestPcapInfoCommand:
     def test_summarizes_a_file(self, tmp_path, capsys):

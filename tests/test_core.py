@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.buffering import detect_buffering_phase
@@ -12,7 +12,7 @@ from repro.analysis.bandwidth import bandwidth_series
 from repro.analysis.interarrival import first_of_group_interarrivals
 from repro.capture import serialize
 from repro.capture.reassembly import fragmentation_percent
-from repro.core.fitting import fit_flow, fit_profile
+from repro.core.fitting import fit_flow, fit_profile, fit_schedule
 from repro.core.generator import FlowReplayer, SyntheticFlow, generate_flow
 from repro.core.models import (
     MediaPlayerFlowModel,
@@ -251,6 +251,82 @@ class TestProfileFitting:
         profile = fit_profile(flow.to_trace(), encoded_kbps=307.2)
         row = profile.summary_row()
         assert len(row) == len(TurbulenceProfile.SUMMARY_HEADERS)
+
+
+#: UDP payloads either side of the 1500-byte MTU's split points: 1472 B
+#: leaves as one packet and 1473 B as two; 2952 B as two, 2953 B as three.
+SPLIT_PAYLOADS = (1472, 1473, 2952, 2953)
+
+
+@st.composite
+def schedules(draw):
+    """A datagram schedule, (send time, UDP payload bytes) each: from
+    no datagram up, times sorted with ties, spanning either side of
+    the 4 s a rate series needs."""
+    payloads = draw(st.lists(
+        st.one_of(st.sampled_from(SPLIT_PAYLOADS),
+                  st.integers(min_value=0, max_value=6000)),
+        max_size=24))
+    span = draw(st.one_of(st.sampled_from((0.0, 3.999, 4.0, 4.001)),
+                          st.floats(min_value=0.0, max_value=12.0)))
+    inner = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(span),
+                  st.floats(min_value=0.0, max_value=span)),
+        min_size=max(len(payloads) - 2, 0),
+        max_size=max(len(payloads) - 2, 0)))
+    offsets = ([0.0] + sorted(inner) + [span])[:len(payloads)]
+    start = draw(st.floats(min_value=0.0, max_value=1000.0))
+    return [(start + offset, payload)
+            for offset, payload in zip(offsets, payloads)]
+
+
+class TestScheduleFit:
+    """fit_schedule(flow) is fit_flow(flow.to_trace()), without rows."""
+
+    @given(payloads=schedules(), family=st.sampled_from(PlayerFamily),
+           kbps=st.floats(min_value=10.0, max_value=1000.0))
+    @example(payloads=[(0.0, 2953)], family=PlayerFamily.WMP, kbps=307.2)
+    @example(payloads=[(1.0, 2953), (1.0, 1473)],
+             family=PlayerFamily.WMP, kbps=307.2)
+    @example(payloads=[(0.0, 1472), (1.5, 1473), (4.0, 2952)],
+             family=PlayerFamily.REAL, kbps=36.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_trace_fit(self, payloads, family, kbps):
+        flow = SyntheticFlow(family, kbps, 10.0, payloads)
+        try:
+            expected = fit_flow(flow.to_trace(), kbps)
+        except AnalysisError as exc:
+            with pytest.raises(AnalysisError) as raised:
+                fit_schedule(flow, kbps)
+            assert str(raised.value) == str(exc)
+            return
+        # repr tells -0.0 from 0.0 and shows every sample.
+        assert repr(fit_schedule(flow, kbps)) == repr(expected)
+
+    @pytest.mark.parametrize("family, kbps", [
+        (PlayerFamily.WMP, 49.8), (PlayerFamily.WMP, 731.3),
+        (PlayerFamily.REAL, 36.0), (PlayerFamily.REAL, 284.0)])
+    def test_generated_flows_fit_as_their_traces(self, family, kbps):
+        flow = generate_flow(family, kbps, 60.0, seed=11)
+        fit = fit_schedule(flow, kbps, label="flow")
+        assert repr(fit) == repr(fit_flow(flow.to_trace(), kbps,
+                                          label="flow"))
+        assert fit.profile.classify() == (
+            "mediaplayer" if family is PlayerFamily.WMP else "realplayer")
+
+    def test_builds_no_trace_and_groups_nothing(self, monkeypatch):
+        groupings = count_calls(monkeypatch, "repro.capture.reassembly",
+                                "group_datagrams")
+        flow = generate_flow(PlayerFamily.WMP, 307.2, 20.0, seed=11)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the schedule fit built a trace")
+
+        monkeypatch.setattr(SyntheticFlow, "to_trace", refuse)
+        fit = fit_schedule(flow, 307.2)
+        assert groupings == []
+        assert fit.profile.label == "synthetic wmp 307Kbps"
+        assert fit.profile.fragment_percent == pytest.approx(66.7, abs=0.1)
 
 
 class TestFlowReplayer:

@@ -11,6 +11,16 @@ from repro.core.generator import generate_flow
 from repro.errors import CaptureError
 from repro.media.clip import PlayerFamily
 from repro.netsim.addressing import IPAddress
+from repro.netsim.headers import (
+    IcmpHeader,
+    IPv4Header,
+    IpProtocol,
+    PayloadMeta,
+    TcpHeader,
+    UdpHeader,
+)
+from repro.netsim.packet import Packet
+from repro.telemetry.spans import Span
 
 from .helpers import CLIENT, SERVER, make_record
 
@@ -146,3 +156,96 @@ class TestPickle:
                               seed=11).to_trace()
         assert len(trace) == 600
         assert len(pickle.dumps(trace)) == 32_753
+
+
+#: PacketRecord's fields, in order: ``from_packet`` and
+#: ``SyntheticFlow.to_trace`` pass every value positionally.
+FIELD_ORDER = [
+    "number", "time", "direction", "src", "dst", "protocol", "ip_bytes",
+    "wire_bytes", "ttl", "identification", "is_fragment",
+    "is_trailing_fragment", "more_fragments", "fragment_offset",
+    "src_port", "dst_port", "payload_kind", "adu_sequence", "datagram_id",
+    "uid", "span_id", "span_trace",
+]
+
+
+def ip_header(protocol, total_length, more_fragments=False,
+              fragment_offset=0):
+    return IPv4Header(src=SERVER, dst=CLIENT, protocol=protocol,
+                      total_length=total_length, identification=7,
+                      more_fragments=more_fragments,
+                      fragment_offset=fragment_offset)
+
+
+#: (packet, the row from_packet must make of it, by keyword).  Values
+#: differ between neighbouring fields of one type, so a swap shows.
+ROW_CASES = {
+    "udp-first-fragment": (
+        Packet(ip=ip_header(IpProtocol.UDP, 1500, more_fragments=True),
+               ttl=114, transport=UdpHeader(5005, 7000, 3848),
+               payload=PayloadMeta(kind="media", adu_sequence=4),
+               uid=41, datagram_id=9),
+        dict(protocol="UDP", ip_bytes=1500, wire_bytes=1514, ttl=114,
+             is_fragment=True, is_trailing_fragment=False,
+             more_fragments=True, fragment_offset=0, src_port=5005,
+             dst_port=7000, payload_kind="media", adu_sequence=4,
+             datagram_id=9, uid=41)),
+    "trailing-fragment": (
+        Packet(ip=ip_header(IpProtocol.UDP, 908, fragment_offset=370),
+               ttl=113, payload=PayloadMeta(kind="media", adu_sequence=4),
+               uid=43, datagram_id=9),
+        dict(protocol="UDP", ip_bytes=908, wire_bytes=922, ttl=113,
+             is_fragment=True, is_trailing_fragment=True,
+             more_fragments=False, fragment_offset=370, src_port=None,
+             dst_port=None, payload_kind="media", adu_sequence=4,
+             datagram_id=9, uid=43)),
+    "tcp-segment": (
+        Packet(ip=ip_header(IpProtocol.TCP, 60), ttl=60,
+               transport=TcpHeader(554, 1042, seq=1, ack=2),
+               payload=PayloadMeta(kind="control"), uid=44,
+               datagram_id=11),
+        dict(protocol="TCP", ip_bytes=60, wire_bytes=74, ttl=60,
+             is_fragment=False, is_trailing_fragment=False,
+             more_fragments=False, fragment_offset=0, src_port=554,
+             dst_port=1042, payload_kind="control", adu_sequence=None,
+             datagram_id=11, uid=44)),
+    "icmp-echo": (
+        Packet(ip=ip_header(IpProtocol.ICMP, 92), ttl=1,
+               transport=IcmpHeader(8, identifier=3, sequence=5),
+               payload=PayloadMeta(kind="probe"), uid=45,
+               datagram_id=12),
+        dict(protocol="ICMP", ip_bytes=92, wire_bytes=106, ttl=1,
+             is_fragment=False, is_trailing_fragment=False,
+             more_fragments=False, fragment_offset=0, src_port=None,
+             dst_port=None, payload_kind="probe", adu_sequence=None,
+             datagram_id=12, uid=45)),
+    "span": (
+        Packet(ip=ip_header(IpProtocol.UDP, 700), ttl=120,
+               transport=UdpHeader(5005, 7000, 680),
+               payload=PayloadMeta(kind="media", adu_sequence=6),
+               uid=46, datagram_id=13,
+               span=Span(17, 3, 16, "packet", 0.5)),
+        dict(protocol="UDP", ip_bytes=700, wire_bytes=714, ttl=120,
+             is_fragment=False, is_trailing_fragment=False,
+             more_fragments=False, fragment_offset=0, src_port=5005,
+             dst_port=7000, payload_kind="media", adu_sequence=6,
+             datagram_id=13, uid=46, span_id=17, span_trace=3)),
+}
+
+
+class TestRowBuilders:
+    """The positional builders match PacketRecord's field order."""
+
+    def test_field_order_is_pinned(self):
+        assert [spec.name for spec in fields(PacketRecord)] == FIELD_ORDER
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_from_packet_matches_a_keyword_row(self, case):
+        packet, values = ROW_CASES[case]
+        row = PacketRecord.from_packet(21, 2.5, "rx", packet)
+        expected = PacketRecord(number=21, time=2.5, direction="rx",
+                                src=SERVER, dst=CLIENT, identification=7,
+                                **values)
+        assert row == expected
+        # repr also tells True from 1, which == does not.
+        assert repr(row) == repr(expected)
