@@ -1,9 +1,13 @@
-"""Shared fixtures: a pair of directly-linked hosts and a full path."""
+"""Shared fixtures: a pair of directly-linked hosts, a full path, and a
+study cache directory of the session's own."""
+
+import os
 
 import pytest
 
 from repro import units
 from repro.experiments import runner
+from repro.experiments.cache import CACHE_DIR_ENV
 from repro.netsim.addressing import IPAddress, Subnet
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
@@ -24,6 +28,22 @@ class HostPair:
                          propagation_delay=propagation_delay)
         self.left.routing.set_default(self.right)
         self.right.routing.set_default(self.left)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def study_cache_dir(tmp_path_factory):
+    """Every study the suite stores goes under pytest's temp directory,
+    never into the user's ``~/.cache/repro-study/``.  Set in
+    ``os.environ`` so CLI subprocesses inherit it; a test that points
+    the cache elsewhere with ``monkeypatch.setenv`` still may."""
+    directory = tmp_path_factory.mktemp("study-cache")
+    previous = os.environ.get(CACHE_DIR_ENV)
+    os.environ[CACHE_DIR_ENV] = str(directory)
+    yield directory
+    if previous is None:
+        del os.environ[CACHE_DIR_ENV]
+    else:
+        os.environ[CACHE_DIR_ENV] = previous
 
 
 @pytest.fixture

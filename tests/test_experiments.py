@@ -242,3 +242,11 @@ class TestStudyCache:
             assert again is first
         finally:
             clear_cache()
+
+    def test_suite_stores_studies_under_pytest_basetemp(
+            self, tmp_path_factory):
+        # conftest's study_cache_dir keeps the user's cache untouched.
+        from repro.experiments.cache import cache_dir
+
+        basetemp = tmp_path_factory.getbasetemp().resolve()
+        assert basetemp in cache_dir().resolve().parents
