@@ -45,8 +45,7 @@ def main(output_path: str = "synthetic_wmp_300k.pcap") -> None:
     exported = None
     for family, kbps, duration in scenarios:
         flow = generate_flow(family, kbps, duration, seed=7)
-        profile = fit_schedule(flow, kbps,
-                               label=f"{family.value} {kbps:.0f}K").profile
+        profile = fit_schedule(flow, f"{family.value} {kbps:.0f}K").profile
         rows.append(profile.summary_row())
         if family == PlayerFamily.WMP and kbps > 300 and exported is None:
             exported = flow

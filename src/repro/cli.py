@@ -640,16 +640,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
               else PlayerFamily.WMP)
     flow = generate_flow(family, args.kbps, args.duration, seed=args.seed)
     try:
-        profile = fit_schedule(flow, args.kbps,
-                               label=f"{args.family} {args.kbps:.0f}K").profile
+        profile = fit_schedule(
+            flow, f"{args.family} {args.kbps:.0f}K").profile
     except AnalysisError as exc:
-        packets, datagrams = flow.packet_count, len(flow.payloads)
-        raise _UsageError(
-            f"error: the flow is too short to profile: {packets} "
-            f"packet{'s' * (packets != 1)} in {datagrams} "
-            f"datagram{'s' * (datagrams != 1)}, and a profile needs at "
-            "least 4 packets in 2 datagrams; give a longer duration"
-        ) from exc
+        raise _UsageError(f"error: {exc}") from exc
     print(f"generated {flow.packet_count} packets "
           f"({flow.total_wire_bytes / 1024:.0f} KiB) over "
           f"{flow.streaming_duration:.1f}s")

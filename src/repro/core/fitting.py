@@ -31,6 +31,10 @@ from repro.errors import AnalysisError
 from repro.players.stats import PlayerStats
 
 
+#: Resolution of a profile's stored distributions.
+_PDF_BINS = 24
+
+
 class FlowFit(NamedTuple):
     """A fitted profile plus the samples it was measured from."""
 
@@ -43,14 +47,14 @@ class FlowFit(NamedTuple):
 
 def fit_profile(trace: Trace, encoded_kbps: float, label: str = "",
                 stats: Optional[PlayerStats] = None,
-                pdf_bins: int = 24) -> TurbulenceProfile:
+                pdf_bins: int = _PDF_BINS) -> TurbulenceProfile:
     """Measure a flow's turbulence profile (see :func:`fit_flow`)."""
     return fit_flow(trace, encoded_kbps, label, stats, pdf_bins).profile
 
 
 def fit_flow(trace: Trace, encoded_kbps: float, label: str = "",
              stats: Optional[PlayerStats] = None,
-             pdf_bins: int = 24) -> FlowFit:
+             pdf_bins: int = _PDF_BINS) -> FlowFit:
     """Measure a flow's turbulence profile, keeping its samples.
 
     The trace is grouped into datagrams once; the interarrivals come
@@ -69,7 +73,7 @@ def fit_flow(trace: Trace, encoded_kbps: float, label: str = "",
         pdf_bins: resolution of the stored distributions.
 
     Raises:
-        AnalysisError: when the trace is too small to characterize
+        AnalysisError: when the trace is too short to characterize
             (needs at least 4 packets in 2 datagram groups).
     """
     groups = group_datagrams(trace)
@@ -87,20 +91,20 @@ def fit_flow(trace: Trace, encoded_kbps: float, label: str = "",
         series, encoded_kbps, label or trace.description, pdf_bins)
 
 
-def fit_schedule(flow: SyntheticFlow, encoded_kbps: float, label: str = "",
-                 pdf_bins: int = 24) -> FlowFit:
+def fit_schedule(flow: SyntheticFlow, label: str) -> FlowFit:
     """:func:`fit_flow` of ``flow.to_trace()``, from the schedule alone.
 
     A synthetic flow's datagrams are its schedule, so no capture row is
     built and none regrouped: each datagram's packets come from the IP
     layer's split (:meth:`SyntheticFlow.datagrams`), every packet after
     a datagram's first is a trailing fragment, and the rate series
-    buckets whole datagrams.  The fit is the trace's, value for value
-    (the default label is the trace's description), and so are the
+    buckets whole datagrams.  The burst is measured against the rate
+    the flow was generated at (``flow.encoded_kbps``).  The fit is the
+    trace's under the same label, value for value, and so are the
     errors.
 
     Raises:
-        AnalysisError: when the flow is too small to characterize
+        AnalysisError: when the flow is too short to characterize
             (needs at least 4 packets in 2 datagrams).
     """
     sizes: List[float] = []
@@ -118,8 +122,8 @@ def fit_schedule(flow: SyntheticFlow, encoded_kbps: float, label: str = "",
     if flow.streaming_duration > 4.0:
         series = rate_series(times, wire_bytes, interval=1.0)
     return _fit_datagrams(sizes, times, packets, wire_bytes,
-                          len(sizes) - len(times), series, encoded_kbps,
-                          label or flow.description, pdf_bins)
+                          len(sizes) - len(times), series,
+                          flow.encoded_kbps, label, _PDF_BINS)
 
 
 def _fit_datagrams(sizes: List[float], first_times: List[float],
@@ -136,10 +140,14 @@ def _fit_datagrams(sizes: List[float], first_times: List[float],
     that are not a datagram's first; ``series`` is the rate timeline
     the burst is measured from, if any.
     """
-    if len(sizes) < 4:
-        raise AnalysisError("trace too small to fit a turbulence profile")
+    packets, datagrams = len(sizes), len(first_times)
+    if packets < 4 or datagrams < 2:
+        raise AnalysisError(
+            f"flow too short to fit a turbulence profile: {packets} "
+            f"packet{'s' * (packets != 1)} in {datagrams} "
+            f"datagram{'s' * (datagrams != 1)}, and a profile needs "
+            "at least 4 packets in 2 datagrams")
     size_summary = summarize(sizes)
-    # interarrival_times raises below two datagram groups.
     gaps = interarrival_times(first_times)
     gap_summary = summarize(gaps)
 

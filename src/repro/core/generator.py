@@ -70,11 +70,6 @@ class SyntheticFlow:
             return 0.0
         return self.payloads[-1][0] - self.payloads[0][0]
 
-    @property
-    def description(self) -> str:
-        """The trace's description, and the default fit label."""
-        return f"synthetic {self.family.value} {self.encoded_kbps:.0f}Kbps"
-
     def group_payloads(self) -> List[Tuple[float, int]]:
         """(time, UDP payload bytes) per datagram group — the schedule
         a replayer hands to sendto()."""
@@ -95,16 +90,24 @@ class SyntheticFlow:
             for index, size in enumerate(sizes):
                 ip_bytes = units.IPV4_HEADER_BYTES + size
                 first = index == 0
-                # Positional, in PacketRecord's field order (pinned by
-                # tests/test_trace.py): keywords cost ~3x per row.
                 records.append(PacketRecord(
-                    len(records) + 1, time, "rx", src, dst, "UDP",
-                    ip_bytes, units.wire_frame_bytes(ip_bytes), 114,
-                    datagram, last > 0, not first, index < last,
-                    offset // 8, src_port if first else None,
-                    dst_port if first else None, "media", None, datagram))
+                    number=len(records) + 1, time=time, direction="rx",
+                    src=src, dst=dst, protocol="UDP",
+                    ip_bytes=ip_bytes,
+                    wire_bytes=units.wire_frame_bytes(ip_bytes),
+                    ttl=114, identification=datagram,
+                    is_fragment=last > 0,
+                    is_trailing_fragment=not first,
+                    more_fragments=index < last,
+                    fragment_offset=offset // 8,
+                    src_port=src_port if first else None,
+                    dst_port=dst_port if first else None,
+                    payload_kind="media",
+                    datagram_id=datagram))
                 offset += size
-        return Trace(records, description=self.description)
+        return Trace(records,
+                     description=(f"synthetic {self.family.value} "
+                                  f"{self.encoded_kbps:.0f}Kbps"))
 
 
 def generate_flow(family: PlayerFamily, encoded_kbps: float,

@@ -49,8 +49,8 @@ def generate(study: StudyResults) -> FigureResult:
             synthetic_flow = generate_flow(family, clip.encoded_kbps,
                                            clip.duration,
                                            seed=run.set_number * 100)
-            synthetic = fit_schedule(synthetic_flow, clip.encoded_kbps,
-                                     label=f"synthetic {clip.label()}")
+            synthetic = fit_schedule(synthetic_flow,
+                                     f"synthetic {clip.label()}")
             # Distribution agreement: KS distance between measured and
             # synthetic packet sizes and datagram-group interarrivals.
             ks_size = ks_statistic(measured.sizes, synthetic.sizes)

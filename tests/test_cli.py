@@ -44,7 +44,8 @@ class TestGenerateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert "too short to profile" in captured.err
+        assert captured.err.startswith(
+            "error: flow too short to fit a turbulence profile: ")
         assert counts in captured.err
         assert not pcap_path.exists()
         assert not csv_path.exists()

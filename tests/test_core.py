@@ -294,21 +294,21 @@ class TestScheduleFit:
     def test_matches_the_trace_fit(self, payloads, family, kbps):
         flow = SyntheticFlow(family, kbps, 10.0, payloads)
         try:
-            expected = fit_flow(flow.to_trace(), kbps)
+            expected = fit_flow(flow.to_trace(), kbps, label="flow")
         except AnalysisError as exc:
             with pytest.raises(AnalysisError) as raised:
-                fit_schedule(flow, kbps)
+                fit_schedule(flow, "flow")
             assert str(raised.value) == str(exc)
             return
         # repr tells -0.0 from 0.0 and shows every sample.
-        assert repr(fit_schedule(flow, kbps)) == repr(expected)
+        assert repr(fit_schedule(flow, "flow")) == repr(expected)
 
     @pytest.mark.parametrize("family, kbps", [
         (PlayerFamily.WMP, 49.8), (PlayerFamily.WMP, 731.3),
         (PlayerFamily.REAL, 36.0), (PlayerFamily.REAL, 284.0)])
     def test_generated_flows_fit_as_their_traces(self, family, kbps):
         flow = generate_flow(family, kbps, 60.0, seed=11)
-        fit = fit_schedule(flow, kbps, label="flow")
+        fit = fit_schedule(flow, "flow")
         assert repr(fit) == repr(fit_flow(flow.to_trace(), kbps,
                                           label="flow"))
         assert fit.profile.classify() == (
@@ -323,9 +323,9 @@ class TestScheduleFit:
             raise AssertionError("the schedule fit built a trace")
 
         monkeypatch.setattr(SyntheticFlow, "to_trace", refuse)
-        fit = fit_schedule(flow, 307.2)
+        fit = fit_schedule(flow, "flow")
         assert groupings == []
-        assert fit.profile.label == "synthetic wmp 307Kbps"
+        assert fit.profile.encoded_kbps == 307.2
         assert fit.profile.fragment_percent == pytest.approx(66.7, abs=0.1)
 
 

@@ -158,8 +158,8 @@ class TestPickle:
         assert len(pickle.dumps(trace)) == 32_753
 
 
-#: PacketRecord's fields, in order: ``from_packet`` and
-#: ``SyntheticFlow.to_trace`` pass every value positionally.
+#: PacketRecord's fields, in order: ``from_packet`` passes every value
+#: positionally.
 FIELD_ORDER = [
     "number", "time", "direction", "src", "dst", "protocol", "ip_bytes",
     "wire_bytes", "ttl", "identification", "is_fragment",
@@ -234,7 +234,7 @@ ROW_CASES = {
 
 
 class TestRowBuilders:
-    """The positional builders match PacketRecord's field order."""
+    """The positional builder matches PacketRecord's field order."""
 
     def test_field_order_is_pinned(self):
         assert [spec.name for spec in fields(PacketRecord)] == FIELD_ORDER
