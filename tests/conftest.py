@@ -1,8 +1,6 @@
 """Shared fixtures: a pair of directly-linked hosts, a full path, and a
 study cache directory of the session's own."""
 
-import os
-
 import pytest
 
 from repro import units
@@ -37,13 +35,9 @@ def study_cache_dir(tmp_path_factory):
     ``os.environ`` so CLI subprocesses inherit it; a test that points
     the cache elsewhere with ``monkeypatch.setenv`` still may."""
     directory = tmp_path_factory.mktemp("study-cache")
-    previous = os.environ.get(CACHE_DIR_ENV)
-    os.environ[CACHE_DIR_ENV] = str(directory)
-    yield directory
-    if previous is None:
-        del os.environ[CACHE_DIR_ENV]
-    else:
-        os.environ[CACHE_DIR_ENV] = previous
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(directory))
+        yield directory
 
 
 @pytest.fixture
