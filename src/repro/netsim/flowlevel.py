@@ -495,13 +495,16 @@ class FlowLevelDirector:
             if telemetry is not None:
                 direction._ctr_delivered.inc(count)
                 direction._ctr_bytes.inc(train_bytes)
+        # Each router would have lowered the TTL by one; the REASON_TTL
+        # refusal above keeps it at 1 or more.  The sender's tx taps
+        # have already seen the sender's value.
         hops = len(routers)
         final._in_flight += count
         schedule_at = sim.schedule_at
         finish = self._finish_virtual
         for packet, arrival in zip(packets, arrivals):
-            delivered = packet if hops == 0 else packet.forwarded(hops)
-            schedule_at(arrival, finish, final, delivered)
+            packet.ttl -= hops
+            schedule_at(arrival, finish, final, packet)
         if record:
             self.ledger.append(TrainRecord(
                 sent_at=now,

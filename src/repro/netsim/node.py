@@ -113,8 +113,10 @@ class Node:
 class Router(Node):
     """Store-and-forward router with TTL handling.
 
-    When a packet's TTL expires, the router emits an ICMP time-exceeded
-    message back to the source (used by tracert).  Routers never
+    A router lowers the TTL of the packet it received and sends that
+    same packet on.  When a packet's TTL expires, the router emits an
+    ICMP time-exceeded message back to the source (used by tracert) and
+    leaves the expired packet as it arrived.  Routers never
     reassemble fragments — fragments are forwarded independently, as on
     the real Internet.
     """
@@ -138,8 +140,11 @@ class Router(Node):
             self.ttl_expired += 1
             self._send_time_exceeded(packet)
             return
+        # In place: nothing upstream keeps a packet it has handed on (a
+        # tap builds its capture row inside the call).
         self.forwarded += 1
-        self.send_packet(packet.forwarded())
+        packet.ttl -= 1
+        self.send_packet(packet)
 
     def _handle_local(self, packet: Packet) -> None:
         from repro.netsim import icmp  # local import: avoids a cycle

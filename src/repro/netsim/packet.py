@@ -38,12 +38,16 @@ class Packet:
         ip: the IPv4 header (addresses, sizes, fragmentation fields).
         ttl: the IP time to live, which drives tracert.  It is the one
             header value a router rewrites, so it lives on the packet:
-            the sender's ``ip`` header is shared, never copied, by every
-            hop's copy.
+            each router lowers it on the packet it received and sends
+            that same packet on, and the sender's ``ip`` header is never
+            copied.
         transport: UDP/TCP/ICMP header; ``None`` on trailing fragments,
             which carry only raw IP payload, exactly as on the wire.
         payload: application metadata describing the carried bytes.
         uid: globally unique packet id (diagnostics and capture joins).
+            A packet is one object from sender to receiver, so it keeps
+            one uid end to end: the rows two sniffers capture of it
+            join on ``uid``.
         datagram_id: id shared by all fragments of one IP datagram.
         span: provenance span context set by the sender's IP layer when
             a :class:`~repro.telemetry.spans.SpanRecorder` is installed;
@@ -56,11 +60,11 @@ class Packet:
     every hop that queues, serializes or counts the packet reads them
     without a call.  They are fixed at construction, so a packet with a
     different ``ip`` header must be built anew (the constructor or
-    ``dataclasses.replace``), never made by assigning ``ip``.
-    :meth:`forwarded` keeps them, since a TTL change keeps the size.
-    ``ttl`` is a field, not such an attribute, because it changes in
-    flight: ``dataclasses.replace``, copies, pickles and ``==`` all
-    carry the current value.
+    ``dataclasses.replace``), never made by assigning ``ip``.  A
+    router's TTL change keeps them, since it keeps the size.  ``ttl``
+    is a field, not such an attribute, because it changes in flight:
+    ``dataclasses.replace``, copies, pickles and ``==`` all carry the
+    current value.
     """
 
     ip: IPv4Header
@@ -93,31 +97,6 @@ class Packet:
     @property
     def protocol(self) -> IpProtocol:
         return self.ip.protocol
-
-    def forwarded(self, hops: int = 1) -> "Packet":
-        """The copy the last of ``hops`` routers would emit: TTL down by
-        ``hops``, a fresh uid, every other field shared with this packet.
-
-        Routers forward one hop at a time; the flow-level fast path
-        delivers a packet across a whole path at once.  It copies this
-        packet's attribute dict once, sizes and the shared ``ip``
-        header included, since a validated packet needs no second
-        ``__post_init__``.  It is still a copy: the sender, taps and
-        span records may hold the previous hop's packet.
-
-        Raises:
-            PacketError: if the TTL would go negative.
-        """
-        if self.ttl < hops:
-            raise PacketError(
-                f"cannot forward a packet with TTL {self.ttl} "
-                f"across {hops} hop(s)")
-        packet = object.__new__(Packet)
-        fields = self.__dict__.copy()
-        fields["ttl"] -= hops
-        fields["uid"] = next(_packet_ids)
-        packet.__dict__ = fields
-        return packet
 
     def __repr__(self) -> str:
         frag = ""

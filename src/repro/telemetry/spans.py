@@ -129,9 +129,10 @@ class SpanRecorder:
         self.spans: List[Span] = []
         self._next_id = 1
         self._context: Dict[str, object] = {}
-        # Open per-hop spans, keyed by packet uid.  A packet traverses
-        # one stage at a time, so one slot per stage suffices; router
-        # copies get fresh uids, so cross-hop state never collides.
+        # Open per-hop spans, keyed by packet uid.  A packet keeps its
+        # uid across hops, but it traverses one stage at a time and
+        # each hop closes its queue and tx spans before the next hop
+        # opens them, so one slot per stage suffices.
         self._open_queue: Dict[int, Span] = {}
         self._open_tx: Dict[int, Span] = {}
 

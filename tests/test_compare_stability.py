@@ -27,6 +27,14 @@ _TIE_HEAVY = st.one_of(
                      math.inf, -math.inf]),
     st.floats(allow_nan=False, min_value=-1e6, max_value=1e6))
 
+#: Distinct values within a sample, like the packet gaps ``sec4``
+#: compares; the eighths grid still lets the two samples share values.
+_DISTINCT = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                        min_value=0.0, max_value=10.0),
+              st.integers(0, 400).map(lambda k: k * 0.125)),
+    min_size=1, max_size=90, unique=True)
+
 
 def _stepping_ks(first, second):
     """Reference KS statistic that steps over each tied value one at a
@@ -108,8 +116,10 @@ class TestKsStatistic:
         assert child.returncode == 1
         assert "AnalysisError: samples must not contain NaN" in child.stderr
 
-    @given(st.lists(_TIE_HEAVY, min_size=1, max_size=60),
-           st.lists(_TIE_HEAVY, min_size=1, max_size=90))
+    @given(st.one_of(st.lists(_TIE_HEAVY, min_size=1, max_size=60),
+                     _DISTINCT),
+           st.one_of(st.lists(_TIE_HEAVY, min_size=1, max_size=90),
+                     _DISTINCT))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_stepping_tie_loop_bit_for_bit(self, a, b):
         expected = _stepping_ks(a, b)
@@ -136,6 +146,26 @@ class TestKsTest:
     def test_p_value_bounded(self):
         result = ks_test([1.0, 2.0], [1.5, 2.5])
         assert 0.0 <= result.p_value <= 1.0
+
+    def test_identical_samples_are_similar(self):
+        # Statistic 0 puts lambda at 0, where the series' terms are
+        # +-2 and never converge.
+        values = [0.5, 1.0, 1.0, 2.5, 4.0]
+        result = ks_test(values, list(values))
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
+        assert result.similar()
+
+    def test_one_differing_value_in_two_thousand_reads_p_one(self):
+        # Distance 1/2000 puts lambda near 0.016, where 100 terms of
+        # the series stop far short of Q(lambda), which is 1.0 to
+        # double precision.
+        rng = random.Random(5)
+        first = [rng.random() for _ in range(2000)]
+        second = list(first)
+        second[0] = 2.0
+        result = ks_test(first, second)
+        assert result.statistic == pytest.approx(1 / 2000)
+        assert result.p_value == 1.0
 
 
 def make_ping(median_ms):

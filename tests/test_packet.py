@@ -23,6 +23,7 @@ from .conftest import HostPair
 
 SRC = IPAddress.parse("64.14.118.1")
 DST = IPAddress.parse("130.215.0.1")
+UDP = UdpHeader(src_port=1755, dst_port=7000, length=4008)
 
 
 def make_header(**overrides):
@@ -73,24 +74,47 @@ class TestPacket:
         assert a.uid != b.uid
 
     def test_forwarded_decrements_ttl_keeps_identity(self):
-        packet = Packet(ip=make_header(), ttl=5, datagram_id=99)
-        forwarded = packet.forwarded()
-        assert forwarded.ttl == 4
-        assert forwarded.datagram_id == 99
-        assert forwarded.transport is packet.transport
+        # A router sends on the very packet it received, one TTL lower.
+        path = build_path_topology(Simulator(seed=1), hop_count=2)
+        router = path.routers[0]
+        packet = Packet(ip=make_header(src=path.server.address,
+                                       dst=path.client.address),
+                        ttl=5, transport=UDP, datagram_id=99)
+        uid = packet.uid
+        seen = []
+        router.add_tap(lambda direction, tapped, now: seen.append(
+            (direction, tapped is packet, tapped.ttl)))
+        router.receive(packet)
+        assert seen == [("rx", True, 5), ("tx", True, 4)]
+        assert (packet.uid, packet.datagram_id) == (uid, 99)
+        assert packet.transport is UDP
 
     def test_forwarding_dead_packet_rejected(self):
-        packet = Packet(ip=make_header(), ttl=0)
-        with pytest.raises(PacketError):
-            packet.forwarded()
+        # A router answers a packet that arrives with TTL 1 with ICMP
+        # time-exceeded, and leaves that packet as it arrived.
+        sim = Simulator(seed=1)
+        path = build_path_topology(sim, hop_count=4)
+        sniffer = Sniffer(path.server).start()
+        sent = path.server.ip.send(
+            path.client.address, IpProtocol.UDP, UDP,
+            units.UDP_HEADER_BYTES, 100, ttl=1)
+        sim.run()
+        trace = sniffer.stop()
+        assert [packet.ttl for packet in sent] == [1]
+        assert sum(router.ttl_expired for router in path.routers) == 1
+        assert sum(router.forwarded for router in path.routers) == 0
+        assert [(row.direction, row.protocol, row.payload_kind)
+                for row in trace] == [
+            ("tx", "UDP", "data"), ("rx", "ICMP", "icmp-time-exceeded")]
+        assert path.client.ip.stats.packets_received == 0
 
 
 def reference_forward(packet, hops):
-    """The forward copy as ``dataclasses.replace`` builds it (same uid)."""
+    """The packet ``hops`` routers emit, as ``dataclasses.replace``
+    builds it: the same fields, uid included, with a lower TTL."""
     return replace(packet, ttl=packet.ttl - hops)
 
 
-UDP = UdpHeader(src_port=1755, dst_port=7000, length=4008)
 SHAPES = {
     "unfragmented": dict(header=dict(total_length=1028), transport=UDP),
     "first-fragment": dict(header=dict(more_fragments=True), transport=UDP),
@@ -114,66 +138,52 @@ MAKERS = {
     "replace": lambda packet: replace(packet, datagram_id=5),
     "replace-ip": lambda packet: replace(
         packet, ip=replace(packet.ip, total_length=packet.ip_bytes - 8)),
-    "forwarded": lambda packet: packet.forwarded(),
-    "forwarded-17": lambda packet: packet.forwarded(17),
     "pickle": lambda packet: pickle.loads(pickle.dumps(packet)),
     "copy": copy.copy,
 }
 
 
 class TestForwardedCopy:
-    """The light forward copy, and the sizes every copy carries:
-    ``ip_bytes`` and ``wire_bytes`` are attributes computed once, not
-    fields, so every path that builds a packet must get them right and
-    the dataclass surface (fields, equality) must not see them.  The
-    TTL is a field, so a copy lowers it without copying the header."""
+    """A forwarded packet beside its copies.  A router changes only the
+    TTL of the packet it forwards.  ``ip_bytes`` and ``wire_bytes`` are
+    attributes computed once, not fields, so every path that builds a
+    packet must get them right and the dataclass surface (fields,
+    equality) must not see them."""
 
     @pytest.mark.parametrize("hops", [1, 3, 17])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_matches_the_replace_reference_field_for_field(self, shape, hops):
-        packet = Packet(ip=make_header(**SHAPES[shape]["header"]), ttl=64,
-                        transport=SHAPES[shape]["transport"],
+        sim = Simulator(seed=1)
+        path = build_path_topology(sim, hop_count=hops + 1)
+        packet = Packet(ip=make_header(src=path.server.address,
+                                       dst=path.client.address,
+                                       **SHAPES[shape]["header"]),
+                        ttl=64, transport=SHAPES[shape]["transport"],
                         payload=PayloadMeta(kind="media", adu_sequence=3),
                         datagram_id=41, span=object())
-        copy = packet.forwarded(hops)
         reference = reference_forward(packet, hops)
+        header = packet.ip
+        arrived = []
+        path.client.add_tap(
+            lambda direction, tapped, now: arrived.append(tapped))
+        path.server.send_packet(packet)
+        sim.run()
+        assert len(arrived) == 1 and arrived[0] is packet
         for field in fields(Packet):
-            if field.name != "uid":
-                assert getattr(copy, field.name) == getattr(
-                    reference, field.name), field.name
-        assert copy.ttl == 64 - hops and copy.uid != reference.uid
-        assert copy.ip is packet.ip  # the sender's header, shared
-        assert packet.ttl == 64  # the original is untouched
+            assert getattr(packet, field.name) == getattr(
+                reference, field.name), field.name
+        assert packet.ttl == 64 - hops
+        assert packet.ip is header  # the sender's header, never copied
         # Same field order and values, so the same bytes when pickled.
-        assert pickle.dumps(copy) == pickle.dumps(
-            replace(packet, ttl=64 - hops, uid=copy.uid))
-
-    def test_each_copy_draws_a_fresh_uid_and_shares_the_rest(self):
-        packet = Packet(ip=make_header(), ttl=64, transport=UDP,
-                        span=object())
-        first, second = packet.forwarded(), packet.forwarded(2)
-        assert len({packet.uid, first.uid, second.uid}) == 3
-        assert second.uid == first.uid + 1
-        for copy in (first, second):
-            assert copy.ip is packet.ip
-            assert copy.transport is packet.transport
-            assert copy.payload is packet.payload
-            assert copy.span is packet.span
-        assert (first.ttl, second.ttl) == (63, 62)
-        assert packet.ttl == 64  # the original is untouched
-
-    def test_ttl_may_reach_zero_but_not_go_negative(self):
-        packet = Packet(ip=make_header(), ttl=3)
-        assert packet.forwarded(3).ttl == 0
-        with pytest.raises(PacketError):
-            packet.forwarded(4)
+        assert pickle.dumps(packet) == pickle.dumps(reference)
 
     def test_replace_keeps_the_lowered_ttl(self):
         # The TTL is a field, so rebuilding a forwarded packet cannot
         # restore the sender's value.
-        copy = Packet(ip=make_header(), ttl=64).forwarded(3)
-        assert replace(copy, datagram_id=5).ttl == 61
-        assert pickle.loads(pickle.dumps(copy)).ttl == 61
+        packet = Packet(ip=make_header(), ttl=64)
+        packet.ttl -= 3  # what three routers do
+        assert replace(packet, datagram_id=5).ttl == 61
+        assert pickle.loads(pickle.dumps(packet)).ttl == 61
 
     @staticmethod
     def assert_sizes(packet):
@@ -211,7 +221,22 @@ class TestForwardedCopy:
         assert replace(packet, span=None) == packet  # span: compare=False
         assert replace(packet, datagram_id=1) != packet
         assert replace(packet, ttl=1) != packet
-        assert packet.forwarded(0) != packet  # a fresh uid
+        assert replace(packet, uid=packet.uid + 1) != packet
+
+
+def stream_news_clip(sim, path):
+    """Stream a 10 s WMP clip from ``path.server`` to ``path.client``."""
+    server = WindowsMediaServer(path.server)
+    server.add_clip(Clip(
+        title="news-m", genre="News", duration=10.0,
+        encoding=ClipEncoding(family=PlayerFamily.WMP, encoded_kbps=307.2,
+                              advertised_kbps=300.0)))
+    MediaTracker(path.client, path.server.address).play("news-m")
+    sim.run(until=40.0)
+
+
+MODES = pytest.mark.parametrize("fast_path", [None, FlowLevelConfig()],
+                                ids=["packet-level", "fast-path"])
 
 
 class TestTtlAcrossAPath:
@@ -219,21 +244,13 @@ class TestTtlAcrossAPath:
     whether the routers forwarded it hop by hop or the flow-level fast
     path delivered it across the whole path at once."""
 
-    @pytest.mark.parametrize("fast_path", [None, FlowLevelConfig()],
-                             ids=["packet-level", "fast-path"])
+    @MODES
     def test_rx_rows_carry_the_sender_ttl_minus_the_routers(self,
                                                             fast_path):
         sim = Simulator(seed=7, fast_path=fast_path)
         path = build_path_topology(sim, hop_count=17, rtt=0.040)
-        server = WindowsMediaServer(path.server)
-        server.add_clip(Clip(
-            title="news-m", genre="News", duration=10.0,
-            encoding=ClipEncoding(family=PlayerFamily.WMP,
-                                  encoded_kbps=307.2,
-                                  advertised_kbps=300.0)))
         sniffer = Sniffer(path.client).start()
-        MediaTracker(path.client, path.server.address).play("news-m")
-        sim.run(until=40.0)
+        stream_news_clip(sim, path)
         trace = sniffer.stop()
         assert len(path.routers) == 16
         # The client's own requests leave with the sender's TTL.
@@ -241,3 +258,55 @@ class TestTtlAcrossAPath:
             ("rx", 128 - 16), ("tx", 128)}
         if fast_path is not None:
             assert sim.fast_path.packets_fast > 0
+
+
+class TestOnePacketEndToEnd:
+    """Routers forward the packet they received, so a packet is one
+    object with one uid from the sender's IP layer to the receiver's."""
+
+    @MODES
+    def test_client_receives_the_objects_the_sender_built(self, fast_path,
+                                                          monkeypatch):
+        sim = Simulator(seed=7, fast_path=fast_path)
+        path = build_path_topology(sim, hop_count=4, rtt=0.040)
+        received = []
+        deliver = path.client.ip.receive
+
+        def record(packet):
+            received.append(packet)
+            deliver(packet)
+
+        monkeypatch.setattr(path.client.ip, "receive", record)
+        payload_bytes = 3840
+        header = UdpHeader(src_port=1755, dst_port=7000,
+                           length=units.UDP_HEADER_BYTES + payload_bytes)
+        sent = path.server.ip.send(path.client.address, IpProtocol.UDP,
+                                   header, units.UDP_HEADER_BYTES,
+                                   payload_bytes)
+        uids = [packet.uid for packet in sent]
+        sim.run()
+        assert len(path.routers) == 3 and len(sent) == 3
+        assert len(received) == 3
+        assert all(got is built for got, built in zip(received, sent))
+        assert [packet.ttl for packet in received] == [128 - 3] * 3
+        assert [packet.uid for packet in received] == uids
+        assert path.client.ip.stats.datagrams_delivered == 1
+        if fast_path is not None:
+            assert sim.fast_path.packets_fast == 3
+
+    @MODES
+    def test_capture_rows_join_on_uid_across_the_path(self, fast_path):
+        sim = Simulator(seed=7, fast_path=fast_path)
+        path = build_path_topology(sim, hop_count=17, rtt=0.040)
+        client = Sniffer(path.client).start()
+        server = Sniffer(path.server).start()
+        stream_news_clip(sim, path)
+        sent = {row.uid: row for row in server.stop()
+                if row.direction == "tx"}
+        received = [row for row in client.stop() if row.direction == "rx"]
+        assert len(received) > 100
+        for row in received:
+            tx = sent[row.uid]
+            assert (tx.datagram_id, tx.fragment_offset) == (
+                row.datagram_id, row.fragment_offset)
+            assert (tx.ttl, row.ttl) == (128, 128 - 16)
