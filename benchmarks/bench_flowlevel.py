@@ -15,6 +15,7 @@ Two levels, matching the two claims the fast path makes:
   diff (``scripts/bench_compare.py``) instead of a fixed ratio.
 """
 
+import statistics
 import time
 
 from repro.experiments.parallel import pool_info
@@ -31,11 +32,17 @@ STUDY_BENCH_ROUNDS = 3
 #: serialization time, so every train is provably exact in strict mode.
 DELIVERY_TRAINS = 400
 DELIVERY_HOPS = 25
-#: The floor the substrate bench enforces.  On a 2-CPU Xeon VM the
-#: ratio reads ~8.4x (median of ten interleaved runs, 7.2-10.8x); 5x
-#: leaves room for slow CI hardware without letting the fast path
-#: quietly decay into the event path.
+#: The floor the substrate bench enforces: the fast path may not
+#: quietly decay into the event path.  On a 2-vCPU Xeon VM (Python
+#: 3.11.7) the gated median read 5.5-6.2x over eight runs of CI's
+#: smoke step, and single pairs 3.0-8.7x.
 MIN_UNCONTENDED_SPEEDUP = 5.0
+#: The gate reads the median ratio of this many fast/event pairs, each
+#: pair timed back to back, with the leg that runs first alternating:
+#: a shift in the machine's speed then moves single ratios, not the
+#: median.  Timing all fast rounds and then all event rounds let one
+#: such shift read as a 3.9x ratio on the same box.
+GATE_PAIRS = 5
 
 
 def _deliver_trains(fast_path):
@@ -60,33 +67,29 @@ def _deliver_trains(fast_path):
 
 def test_bench_flowlevel_uncontended_delivery(benchmark):
     """Analytic delivery on an idle 25-hop path, with the >=5x gate."""
-    def fast_leg():
-        elapsed, deliveries = _deliver_trains(FlowLevelConfig(strict=True))
-        return elapsed, deliveries
-
-    fast_times = []
     fast_deliveries = None
     def timed_fast():
         nonlocal fast_deliveries
-        elapsed, deliveries = fast_leg()
-        fast_times.append(elapsed)
-        fast_deliveries = deliveries
-        return len(deliveries)
+        _, fast_deliveries = _deliver_trains(FlowLevelConfig(strict=True))
+        return len(fast_deliveries)
 
     count = benchmark.pedantic(timed_fast, rounds=STUDY_BENCH_ROUNDS,
                                iterations=1)
     assert count == DELIVERY_TRAINS
 
-    slow_times = []
-    for _ in range(STUDY_BENCH_ROUNDS):
-        elapsed, slow_deliveries = _deliver_trains(None)
-        slow_times.append(elapsed)
-        # Strict mode on an uncontended path is exact, not approximate.
-        assert slow_deliveries == fast_deliveries
-
-    median_fast = sorted(fast_times)[len(fast_times) // 2]
-    median_slow = sorted(slow_times)[len(slow_times) // 2]
-    speedup = median_slow / median_fast
+    ratios = []
+    for pair in range(GATE_PAIRS):
+        legs = [FlowLevelConfig(strict=True), None]
+        if pair % 2:
+            legs.reverse()
+        seconds = {}
+        for fast_path in legs:
+            elapsed, deliveries = _deliver_trains(fast_path)
+            seconds["event" if fast_path is None else "fast"] = elapsed
+            # Strict mode on an uncontended path is exact, not approximate.
+            assert deliveries == fast_deliveries
+        ratios.append(seconds["event"] / seconds["fast"])
+    speedup = statistics.median(ratios)
     assert speedup >= MIN_UNCONTENDED_SPEEDUP, (
         f"uncontended fast path only {speedup:.2f}x faster than the "
         f"event serializer (floor {MIN_UNCONTENDED_SPEEDUP}x); the "

@@ -11,17 +11,11 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro._version import __version__
+from repro._lazy import lazy_exports
 
-
-def run_study(*args, **kwargs):
-    """Convenience re-export of :func:`repro.experiments.runner.run_study`.
-
-    Imported lazily so ``import repro`` stays instant.
-    """
-    from repro.experiments.runner import run_study as _run_study
-
-    return _run_study(*args, **kwargs)
-
-
-__all__ = ["__version__", "run_study"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "._version": ("__version__",),
+    # :func:`repro.experiments.runner.run_study`, loaded on first use so
+    # ``import repro`` stays instant.
+    ".experiments.runner": ("run_study",),
+})

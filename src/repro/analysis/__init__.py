@@ -9,77 +9,20 @@ bandwidth and frame-rate timelines and band summaries (Figures 10,
 trend fits (Figure 3), and ASCII rendering for the benchmark harness.
 """
 
-from repro.analysis.bandwidth import bandwidth_series
-from repro.analysis.buffering import (
-    BufferingAnalysis,
-    detect_buffering_phase,
-)
-from repro.analysis.compare import KsResult, ks_statistic, ks_test
-from repro.analysis.distributions import (
-    cdf,
-    histogram,
-    pdf,
-    percentile,
-    summarize,
-)
-from repro.analysis.fragmentation import (
-    FragmentationPoint,
-    fragmentation_sweep_point,
-)
-from repro.analysis.framerate import BandSummary, summarize_by_band
-from repro.analysis.interarrival import (
-    first_of_group_interarrivals,
-    interarrival_times,
-    normalized_interarrivals,
-)
-from repro.analysis.jitter import (
-    interarrival_jitter,
-    rtp_jitter,
-    rtp_jitter_series,
-)
-from repro.analysis.normalize import coefficient_of_variation, normalize_by_mean
-from repro.analysis.timeseries import (
-    autocorrelation,
-    dominant_period,
-    periodicity_score,
-)
-from repro.analysis.trends import PolynomialTrend, fit_polynomial_trend
-from repro.analysis.report import (
-    ascii_plot,
-    format_table,
-    render_cdf,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BandSummary",
-    "BufferingAnalysis",
-    "FragmentationPoint",
-    "PolynomialTrend",
-    "ascii_plot",
-    "autocorrelation",
-    "bandwidth_series",
-    "cdf",
-    "dominant_period",
-    "periodicity_score",
-    "coefficient_of_variation",
-    "detect_buffering_phase",
-    "first_of_group_interarrivals",
-    "fit_polynomial_trend",
-    "format_table",
-    "fragmentation_sweep_point",
-    "histogram",
-    "KsResult",
-    "interarrival_jitter",
-    "ks_statistic",
-    "ks_test",
-    "interarrival_times",
-    "normalize_by_mean",
-    "rtp_jitter",
-    "rtp_jitter_series",
-    "normalized_interarrivals",
-    "pdf",
-    "percentile",
-    "render_cdf",
-    "summarize",
-    "summarize_by_band",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bandwidth": ("bandwidth_series",),
+    ".buffering": ("BufferingAnalysis", "detect_buffering_phase"),
+    ".compare": ("KsResult", "ks_statistic", "ks_test"),
+    ".distributions": ("cdf", "histogram", "pdf", "percentile", "summarize"),
+    ".fragmentation": ("FragmentationPoint", "fragmentation_sweep_point"),
+    ".framerate": ("BandSummary", "summarize_by_band"),
+    ".interarrival": ("first_of_group_interarrivals", "interarrival_times",
+                      "normalized_interarrivals"),
+    ".jitter": ("interarrival_jitter", "rtp_jitter", "rtp_jitter_series"),
+    ".normalize": ("coefficient_of_variation", "normalize_by_mean"),
+    ".timeseries": ("autocorrelation", "dominant_period", "periodicity_score"),
+    ".trends": ("PolynomialTrend", "fit_polynomial_trend"),
+    ".report": ("ascii_plot", "format_table", "render_cdf"),
+})

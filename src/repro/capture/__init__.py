@@ -8,25 +8,14 @@ with a Wireshark-like display-filter language, grouped into fragment
 trains, and written to (or read from) genuine libpcap files.
 """
 
-from repro.capture.filters import compile_filter
-from repro.capture.hierarchy import protocol_hierarchy, render_hierarchy
-from repro.capture.pcap import read_pcap, write_pcap
-from repro.capture.reassembly import FragmentGroup, group_datagrams
-from repro.capture.serialize import read_csv, write_csv
-from repro.capture.sniffer import Sniffer
-from repro.capture.trace import PacketRecord, Trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FragmentGroup",
-    "PacketRecord",
-    "Sniffer",
-    "Trace",
-    "compile_filter",
-    "group_datagrams",
-    "protocol_hierarchy",
-    "read_csv",
-    "read_pcap",
-    "render_hierarchy",
-    "write_csv",
-    "write_pcap",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".filters": ("compile_filter",),
+    ".hierarchy": ("protocol_hierarchy", "render_hierarchy"),
+    ".pcap": ("read_pcap", "write_pcap"),
+    ".reassembly": ("FragmentGroup", "group_datagrams"),
+    ".serialize": ("read_csv", "write_csv"),
+    ".sniffer": ("Sniffer",),
+    ".trace": ("PacketRecord", "Trace"),
+})

@@ -9,31 +9,14 @@ reproduces the 2002 behavior byte-identically by never arming any of
 the feedback machinery.
 """
 
-from repro.cc.base import (
-    CC_MAX_RATE_BPS,
-    CC_MIN_RATE_BPS,
-    CcConfig,
-    CongestionControl,
-    cc_descriptions,
-    cc_names,
-)
-from repro.cc.abr import AbrConfig, choose_rung
-from repro.cc.aimd import AimdCongestionControl
-from repro.cc.controller import CcSessionController
-from repro.cc.gcc import DelayGradientCongestionControl
-from repro.cc.null import NullCongestionControl
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CC_MAX_RATE_BPS",
-    "CC_MIN_RATE_BPS",
-    "AbrConfig",
-    "AimdCongestionControl",
-    "CcConfig",
-    "CcSessionController",
-    "CongestionControl",
-    "DelayGradientCongestionControl",
-    "NullCongestionControl",
-    "cc_descriptions",
-    "cc_names",
-    "choose_rung",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".abr": ("AbrConfig", "choose_rung"),
+    ".aimd": ("AimdCongestionControl",),
+    ".base": ("CC_MAX_RATE_BPS", "CC_MIN_RATE_BPS", "CcConfig",
+              "CongestionControl", "cc_descriptions", "cc_names"),
+    ".controller": ("CcSessionController",),
+    ".gcc": ("DelayGradientCongestionControl",),
+    ".null": ("NullCongestionControl",),
+})

@@ -1,7 +1,7 @@
 """Per-session glue between receiver reports and the pacer.
 
 Shaped like ``servers.scaling.ScalingController``: the server creates
-one per PLAY, and ``StreamingServer._on_request`` routes each
+one per PLAY, and ``StreamingServer._on_feedback`` routes each
 ``ReceiverReport`` here.  The controller translates report fields into
 controller signals, then applies the resulting pacing rate to the
 pacer as a delay floor — it never rewrites the pacer's budget ledger,

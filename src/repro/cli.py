@@ -440,6 +440,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     import time
     from dataclasses import replace
 
+    from repro.errors import AnalysisError
     from repro.experiments.report import build_report
     from repro.experiments.runner import run_spec
 
@@ -517,6 +518,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
     # ru_maxrss is KiB on Linux: the process-lifetime high-water mark,
     # which is exactly the number the bounded-memory claim is about.
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        report = build_report(study, plots=args.plots)
+    except AnalysisError as exc:
+        raise _UsageError(f"error: {exc}") from exc
     print(f"# study sweep: {len(study)} pair runs in {elapsed:.2f}s "
           f"(seed {args.seed}, scale {args.scale}{jobs_note}{exec_note}"
           f"{fast_note}, {source}, peak rss {peak_kib / 1024:.0f} MiB)\n")
@@ -535,7 +540,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
               f"a bounded summary (fingerprint {summary.fingerprint()})\n")
     if args.stream_jsonl:
         print(f"wrote {args.stream_jsonl}")
-    print(build_report(study, plots=args.plots))
+    print(report)
     if args.html:
         from repro.experiments.html_report import build_html_report
 
@@ -546,16 +551,20 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.errors import AnalysisError
     from repro.experiments.figures import ALL_FIGURES
+    from repro.experiments.report import generate_figure
     from repro.experiments.runner import run_spec
 
-    generator = ALL_FIGURES.get(args.figure_id)
-    if generator is None:
+    if args.figure_id not in ALL_FIGURES:
         print(f"unknown figure {args.figure_id!r}; choose from: "
               f"{', '.join(sorted(ALL_FIGURES))}", file=sys.stderr)
         return 2
     study = run_spec(_spec_from_args(args))
-    result = generator(study)
+    try:
+        result = generate_figure(args.figure_id, study)
+    except AnalysisError as exc:
+        raise _UsageError(f"error: {exc}") from exc
     print(result.render(plot=args.plots))
     if args.csv:
         with open(args.csv, "w") as stream:
@@ -597,14 +606,18 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.core.turbulence import TurbulenceProfile
+    from repro.errors import AnalysisError, ExperimentError
     from repro.experiments.aggregate import run_boundary_study
 
     _check_positive("--clients", args.clients)
     _check_positive("--duration", args.duration)
     _check_positive("--kbps", args.kbps)
-    result = run_boundary_study(client_count=args.clients,
-                                duration=args.duration,
-                                encoded_kbps=args.kbps, seed=args.seed)
+    try:
+        result = run_boundary_study(client_count=args.clients,
+                                    duration=args.duration,
+                                    encoded_kbps=args.kbps, seed=args.seed)
+    except (AnalysisError, ExperimentError) as exc:
+        raise _UsageError(f"error: {exc}") from exc
     print(format_table(TurbulenceProfile.SUMMARY_HEADERS,
                        [p.summary_row()
                         for p in result.per_flow_profiles]))
@@ -686,6 +699,10 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_spec
     from repro.experiments.scorecard import render_scorecard, run_scorecard
 
+    for flag, value in (("--transports", args.transports),
+                        ("--svg", args.svg)):
+        if value is not None and not args.modern:
+            raise _UsageError(f"{flag} needs --modern")
     spec = _spec_from_args(args)
     if args.modern:
         from repro.errors import ExperimentError

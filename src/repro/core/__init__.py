@@ -21,27 +21,12 @@ Two artifacts survive from the study:
    export, with no second packet type.
 """
 
-from repro.core.fitting import fit_profile, fit_schedule
-from repro.core.generator import FlowReplayer, SyntheticFlow, generate_flow
-from repro.core.models import (
-    MediaPlayerFlowModel,
-    RealPlayerFlowModel,
-    flow_model_for,
-    sample_hop_count,
-    sample_rtt,
-)
-from repro.core.turbulence import TurbulenceProfile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowReplayer",
-    "MediaPlayerFlowModel",
-    "RealPlayerFlowModel",
-    "SyntheticFlow",
-    "TurbulenceProfile",
-    "fit_profile",
-    "fit_schedule",
-    "flow_model_for",
-    "generate_flow",
-    "sample_hop_count",
-    "sample_rtt",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".fitting": ("fit_profile", "fit_schedule"),
+    ".generator": ("FlowReplayer", "SyntheticFlow", "generate_flow"),
+    ".models": ("MediaPlayerFlowModel", "RealPlayerFlowModel",
+                "flow_model_for", "sample_hop_count", "sample_rtt"),
+    ".turbulence": ("TurbulenceProfile",),
+})

@@ -7,21 +7,11 @@ paper's simultaneous-stream methodology; and
 :mod:`repro.experiments.figures` regenerates every table and figure.
 """
 
-from repro.experiments.conditions import NetworkConditions, sample_conditions
-from repro.experiments.datasets import build_table1_library
-from repro.experiments.runner import (
-    PairRunResult,
-    StudyResults,
-    run_pair_experiment,
-    run_study,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NetworkConditions",
-    "PairRunResult",
-    "StudyResults",
-    "build_table1_library",
-    "run_pair_experiment",
-    "run_study",
-    "sample_conditions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".conditions": ("NetworkConditions", "sample_conditions"),
+    ".datasets": ("build_table1_library",),
+    ".runner": ("PairRunResult", "StudyResults", "run_pair_experiment",
+                "run_study"),
+})

@@ -76,11 +76,8 @@ behind for the next study.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.experiments.progress import ProgressCallback
 from repro.experiments.runner import (
@@ -91,10 +88,12 @@ from repro.experiments.runner import (
     work_order,
 )
 from repro.experiments.spec import RunSpec
-from repro.telemetry.core import Telemetry
-from repro.telemetry.sinks import MemorySink, NullSink
-from repro.telemetry.spans import SpanRecorder
-from repro.telemetry.streaming import StreamingSummary
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a pool is made
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.streaming import StreamingSummary
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,10 @@ def _worker_telemetry(spec: _WorkerSpec) -> Optional[Telemetry]:
     """
     if not spec.metrics:
         return None
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.sinks import MemorySink, NullSink
+    from repro.telemetry.spans import SpanRecorder
+
     sink = MemorySink(capacity=None) if spec.events else NullSink()
     return Telemetry(sinks=[sink],
                      spans=SpanRecorder() if spec.spans else None)
@@ -145,6 +148,8 @@ def _run_index(spec: _WorkerSpec, index: int) -> RunOutcome:
 
 def _pool_context():
     """Prefer fork (cheap, inherits sys.path); fall back to the default."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -165,6 +170,8 @@ def _ensure_pool(workers: int) -> ProcessPoolExecutor:
     if _POOL is not None and _POOL_WORKERS != workers:
         shutdown_pool()
     if _POOL is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         _POOL = ProcessPoolExecutor(max_workers=workers,
                                     mp_context=_pool_context())
         _POOL_WORKERS = workers
@@ -212,6 +219,8 @@ def run_study_parallel(spec: RunSpec, telemetry: Optional[Telemetry],
     Raises:
         BrokenProcessPool: if a worker dies again after the re-run.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     pairs = spec.library.all_pairs()
     worker_spec = _WorkerSpec(
         run=spec, metrics=telemetry is not None,

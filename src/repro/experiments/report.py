@@ -11,19 +11,35 @@ import sys
 import time
 from typing import Optional, TextIO
 
+from repro.errors import AnalysisError
 from repro.experiments.cache import get_study
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import ALL_FIGURES, FigureResult
 from repro.experiments.runner import StudyResults
 from repro.experiments.spec import RunSpec
 
 
+def generate_figure(figure_id: str, study: StudyResults) -> FigureResult:
+    """``ALL_FIGURES[figure_id](study)``.
+
+    Raises:
+        AnalysisError: naming the figure, when ``study`` is too short
+            for one of its analyses.
+    """
+    try:
+        return ALL_FIGURES[figure_id](study)
+    except AnalysisError as exc:
+        raise AnalysisError(f"{figure_id}: {exc}") from exc
+
+
 def build_report(study: StudyResults, plots: bool = False) -> str:
-    """Render every artifact's rows and findings as one document."""
-    sections = []
-    for figure_id in sorted(ALL_FIGURES):
-        result = ALL_FIGURES[figure_id](study)
-        sections.append(result.render(plot=plots))
-    return "\n\n".join(sections)
+    """Render every artifact's rows and findings as one document.
+
+    Raises:
+        AnalysisError: naming the first figure ``study`` is too short
+            for.
+    """
+    return "\n\n".join(generate_figure(figure_id, study).render(plot=plots)
+                       for figure_id in sorted(ALL_FIGURES))
 
 
 def main(argv: Optional[list] = None, out: TextIO = sys.stdout) -> None:

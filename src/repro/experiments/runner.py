@@ -18,12 +18,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.capture.sniffer import Sniffer
 from repro.capture.trace import Trace
-from repro.core.fitting import fit_profile
-from repro.core.turbulence import TurbulenceProfile
 from repro.errors import ExperimentError
 from repro.experiments.conditions import NetworkConditions, sample_conditions
-from repro.faults.controller import FaultController
-from repro.faults.scenario import FaultScenario
 from repro.media.clip import Clip
 from repro.media.library import ClipLibrary, ClipPair, ClipSet, RateBand
 from repro.netsim.addressing import IPAddress
@@ -43,19 +39,20 @@ from repro.players.mediatracker import MediaTracker
 from repro.players.realtracker import RealTracker
 from repro.players.stats import PlayerStats
 from repro.servers.realserver import RealServer
-from repro.servers.scaling import MediaScalingPolicy
 from repro.servers.wms import WindowsMediaServer
-from repro.telemetry.core import Telemetry, TelemetrySnapshot
-from repro.telemetry.streaming import StreamingSink, StreamingSummary
 from repro.tools.ping import PingReport, run_ping
 from repro.tools.stability import StabilityVerdict, verify_stability
 from repro.tools.tracert import TracerouteReport, run_tracert
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - imported where a spec arms them
     from repro.cc.abr import AbrConfig
     from repro.cc.base import CcConfig
+    from repro.core.turbulence import TurbulenceProfile
+    from repro.faults.scenario import FaultScenario
     from repro.netsim.flowlevel import FastPathSummary, FlowLevelConfig
     from repro.repair.base import RepairConfig
+    from repro.telemetry.core import Telemetry, TelemetrySnapshot
+    from repro.telemetry.streaming import StreamingSummary
     from repro.validate.checker import RunValidator
 
 #: Below this many pair runs a parallel request silently downgrades to
@@ -108,11 +105,15 @@ class PairRunResult:
                       and r.src.value == address), self.trace.description)
 
     def real_profile(self) -> TurbulenceProfile:
+        from repro.core.fitting import fit_profile
+
         return fit_profile(self.real_flow(), self.real_clip.encoded_kbps,
                            label=self.real_clip.label(),
                            stats=self.real_stats)
 
     def wmp_profile(self) -> TurbulenceProfile:
+        from repro.core.fitting import fit_profile
+
         return fit_profile(self.wmp_flow(), self.wmp_clip.encoded_kbps,
                            label=self.wmp_clip.label(),
                            stats=self.wmp_stats)
@@ -273,9 +274,13 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
         jitter_std=conditions.jitter_std)
 
     real_host, wmp_host = topology.servers[0], topology.servers[1]
+    scaling = None
     if scenario is not None:
+        from repro.servers.scaling import MediaScalingPolicy
+
         # Robustness stack, armed only for fault runs so that plain
         # runs stay event-for-event identical to the pre-fault code.
+        scaling = MediaScalingPolicy
         reliability = TcpReliability()
         for node in (topology.client, real_host, wmp_host):
             node.tcp.reliability = reliability
@@ -291,7 +296,6 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
                                 config=abr)
         wms = AbrServer(wmp_host, family=PlayerFamily.WMP, config=abr)
     else:
-        scaling = MediaScalingPolicy if scenario is not None else None
         cc_factory = cc.build if cc_armed else None
         repair_factory = None
         if repair_on:
@@ -350,6 +354,8 @@ def run_pair_experiment(clip_set: ClipSet, pair: ClipPair, seed: int,
     wmp_player.play(pair.wmp.title)
 
     if scenario is not None:
+        from repro.faults.controller import FaultController
+
         FaultController(
             sim, scenario,
             links=_fault_links(topology, conditions),
@@ -545,6 +551,8 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
     spec = replace(spec, library=spec.clip_library(),
                    stream=spec.stream or stream is not None)
     if stream is None and spec.stream:
+        from repro.telemetry.streaming import StreamingSummary
+
         stream = StreamingSummary()
     runs = len(spec.library.all_pairs())
     execution = "sequential" + clamped
@@ -574,8 +582,8 @@ def run_spec(spec: RunSpec, *, telemetry: Optional[Telemetry] = None,
 #: saw the run live), and its per-run streaming summary (``None`` when
 #: the sweep does not stream), shipped pre-reduced so the parent merges
 #: O(1) state instead of re-folding event rows.
-RunOutcome = Tuple[PairRunResult, Optional[TelemetrySnapshot],
-                   Optional[StreamingSummary]]
+RunOutcome = Tuple[PairRunResult, Optional["TelemetrySnapshot"],
+                   Optional["StreamingSummary"]]
 
 
 def run_index(spec: RunSpec, index: int,
@@ -603,6 +611,9 @@ def run_index(spec: RunSpec, index: int,
     facade = telemetry
     per_run = None
     if spec.stream:
+        from repro.telemetry.core import Telemetry
+        from repro.telemetry.streaming import StreamingSink, StreamingSummary
+
         if facade is None:
             # Its bus stays inactive except while the per-run sink is
             # attached.

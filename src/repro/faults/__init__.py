@@ -12,24 +12,11 @@ Three pieces, mirroring the subsystem's three jobs:
   :func:`recovery_report` distilled from the run's trace events.
 """
 
-from repro.faults.controller import FaultController
-from repro.faults.report import RebufferEpisode, RecoveryReport, recovery_report
-from repro.faults.scenario import (
-    FaultEvent,
-    FaultScenario,
-    SCENARIO_BUILDERS,
-    build_scenario,
-    scenario_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultController",
-    "FaultEvent",
-    "FaultScenario",
-    "RebufferEpisode",
-    "RecoveryReport",
-    "SCENARIO_BUILDERS",
-    "build_scenario",
-    "recovery_report",
-    "scenario_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".controller": ("FaultController",),
+    ".report": ("RebufferEpisode", "RecoveryReport", "recovery_report"),
+    ".scenario": ("FaultEvent", "FaultScenario", "SCENARIO_BUILDERS",
+                  "build_scenario", "scenario_names"),
+})

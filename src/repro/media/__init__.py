@@ -9,21 +9,11 @@ codec derives from the encoding rate (Figures 13–15), and the library
 containers the experiment datasets are built from.
 """
 
-from repro.media.clip import Clip, ClipEncoding, PlayerFamily
-from repro.media.codec import SyntheticCodec, nominal_frame_rate
-from repro.media.frames import FrameSchedule, VideoFrame
-from repro.media.library import ClipLibrary, ClipPair, ClipSet, RateBand
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Clip",
-    "ClipEncoding",
-    "ClipLibrary",
-    "ClipPair",
-    "ClipSet",
-    "FrameSchedule",
-    "PlayerFamily",
-    "RateBand",
-    "SyntheticCodec",
-    "VideoFrame",
-    "nominal_frame_rate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".clip": ("Clip", "ClipEncoding", "PlayerFamily"),
+    ".codec": ("SyntheticCodec", "nominal_frame_rate"),
+    ".frames": ("FrameSchedule", "VideoFrame"),
+    ".library": ("ClipLibrary", "ClipPair", "ClipSet", "RateBand"),
+})

@@ -17,46 +17,19 @@ Typical use::
     sim.run(until=120.0)
 """
 
-from repro.netsim.addressing import IPAddress, Subnet
-from repro.netsim.engine import Event, Simulator
-from repro.netsim.headers import (
-    IPv4Header,
-    IcmpHeader,
-    TcpHeader,
-    UdpHeader,
-)
-from repro.netsim.icmp import IcmpType
-from repro.netsim.ip import IpLayer, ReassemblyBuffer
-from repro.netsim.link import Link, LossModel
-from repro.netsim.node import Host, Node, Router
-from repro.netsim.packet import Packet
-from repro.netsim.queues import DropTailQueue
-from repro.netsim.rng import RandomStreams
-from repro.netsim.topology import PathTopology, build_path_topology
-from repro.netsim.udp import UdpDatagram, UdpSocket
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DropTailQueue",
-    "Event",
-    "Host",
-    "IPAddress",
-    "IcmpHeader",
-    "IcmpType",
-    "IpLayer",
-    "IPv4Header",
-    "Link",
-    "LossModel",
-    "Node",
-    "Packet",
-    "PathTopology",
-    "RandomStreams",
-    "ReassemblyBuffer",
-    "Router",
-    "Simulator",
-    "Subnet",
-    "TcpHeader",
-    "UdpDatagram",
-    "UdpHeader",
-    "UdpSocket",
-    "build_path_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".addressing": ("IPAddress", "Subnet"),
+    ".engine": ("Event", "Simulator"),
+    ".headers": ("IPv4Header", "IcmpHeader", "TcpHeader", "UdpHeader"),
+    ".icmp": ("IcmpType",),
+    ".ip": ("IpLayer", "ReassemblyBuffer"),
+    ".link": ("Link", "LossModel"),
+    ".node": ("Host", "Node", "Router"),
+    ".packet": ("Packet",),
+    ".queues": ("DropTailQueue",),
+    ".rng": ("RandomStreams",),
+    ".topology": ("PathTopology", "build_path_topology"),
+    ".udp": ("UdpDatagram", "UdpSocket"),
+})

@@ -9,25 +9,15 @@ MediaPlayer interleaving batcher (Figure 12), and the statistics
 records every figure's application-level data comes from.
 """
 
-from repro.players.base import StreamingClient
-from repro.players.buffer import DelayBuffer
-from repro.players.interleave import BatchingReceiver
-from repro.players.logging import read_log, write_log
-from repro.players.mediatracker import MediaTracker
-from repro.players.quality import QualityReport, quality_report
-from repro.players.realtracker import RealTracker
-from repro.players.stats import PacketReceipt, PlayerStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchingReceiver",
-    "DelayBuffer",
-    "MediaTracker",
-    "PacketReceipt",
-    "PlayerStats",
-    "QualityReport",
-    "RealTracker",
-    "StreamingClient",
-    "quality_report",
-    "read_log",
-    "write_log",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("StreamingClient",),
+    ".buffer": ("DelayBuffer",),
+    ".interleave": ("BatchingReceiver",),
+    ".logging": ("read_log", "write_log"),
+    ".mediatracker": ("MediaTracker",),
+    ".quality": ("QualityReport", "quality_report"),
+    ".realtracker": ("RealTracker",),
+    ".stats": ("PacketReceipt", "PlayerStats"),
+})

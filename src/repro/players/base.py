@@ -11,7 +11,7 @@ interleaving batcher; RealTracker cannot observe them at all.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.errors import ProtocolError, SocketError
 from repro.media.clip import PlayerFamily
@@ -23,8 +23,6 @@ from repro.players.buffer import DelayBuffer
 from repro.players.interleave import BatchingReceiver
 from repro.players.quality import QualityController
 from repro.players.stats import PacketReceipt, PlayerStats
-from repro.repair.base import RepairConfig
-from repro.repair.receiver import ReceiverRepair, Recovery
 from repro.servers.control import (
     ControlRequest,
     ControlResponse,
@@ -37,6 +35,10 @@ from repro.telemetry.events import (
     QOE_SCORE,
     SESSION_LOST,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - imported where repair is armed
+    from repro.repair.base import RepairConfig
+    from repro.repair.receiver import ReceiverRepair, Recovery
 
 DoneCallback = Callable[[PlayerStats], None]
 
@@ -268,6 +270,8 @@ class StreamingClient:
     def _handle_setup_ok(self, response: ControlResponse) -> None:
         self.session_id = response.session_id
         if self.repair_config is not None:
+            from repro.repair.receiver import ReceiverRepair
+
             self._repair = ReceiverRepair(
                 config=self.repair_config, sim=self.host.sim,
                 family=self.family.name.lower(),

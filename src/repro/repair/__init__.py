@@ -10,17 +10,14 @@ deadline has passed.  Strictly opt-in: a study with ``repair=None``
 is byte-identical to one run before this package existed.
 """
 
-from repro.repair.base import RepairConfig
-from repro.repair.fec import (FecGroupEncoder, FecGroupSpec, FecMember,
-                              recover_block, xor_parity)
-from repro.repair.nack import NackManager, NackRequest
-from repro.repair.receiver import ReceiverRepair, Recovery
-from repro.repair.scheduler import RepairCandidate, schedule_repairs
-from repro.repair.sender import SenderRepair
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RepairConfig", "FecGroupEncoder", "FecGroupSpec", "FecMember",
-    "recover_block", "xor_parity", "NackManager", "NackRequest",
-    "ReceiverRepair", "Recovery", "RepairCandidate", "schedule_repairs",
-    "SenderRepair",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("RepairConfig",),
+    ".fec": ("FecGroupEncoder", "FecGroupSpec", "FecMember", "recover_block",
+             "xor_parity"),
+    ".nack": ("NackManager", "NackRequest"),
+    ".receiver": ("ReceiverRepair", "Recovery"),
+    ".scheduler": ("RepairCandidate", "schedule_repairs"),
+    ".sender": ("SenderRepair",),
+})

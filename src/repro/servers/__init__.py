@@ -13,31 +13,15 @@ Both speak the same RTSP-like control protocol over TCP
 (:mod:`repro.servers.control`) and pace media over UDP.
 """
 
-from repro.servers.base import StreamingServer
-from repro.servers.control import (
-    ClipDescription,
-    ControlRequest,
-    ControlResponse,
-    RTSP_PORT,
-)
-from repro.servers.pacing import CbrAduPacer, BurstThenSteadyPacer, Pacer
-from repro.servers.realserver import RealServer, buffering_ratio
-from repro.servers.session import ServerSession, SessionState
-from repro.servers.wms import WindowsMediaServer, wms_packetization
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BurstThenSteadyPacer",
-    "CbrAduPacer",
-    "ClipDescription",
-    "ControlRequest",
-    "ControlResponse",
-    "Pacer",
-    "RTSP_PORT",
-    "RealServer",
-    "ServerSession",
-    "SessionState",
-    "StreamingServer",
-    "WindowsMediaServer",
-    "buffering_ratio",
-    "wms_packetization",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("StreamingServer",),
+    ".control": ("ClipDescription", "ControlRequest", "ControlResponse",
+                 "RTSP_PORT"),
+    ".pacing": ("BurstThenSteadyPacer", "CbrAduPacer", "Pacer",
+                "wms_packetization"),
+    ".realserver": ("RealServer", "buffering_ratio"),
+    ".session": ("ServerSession", "SessionState"),
+    ".wms": ("WindowsMediaServer",),
+})

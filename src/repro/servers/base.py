@@ -23,8 +23,6 @@ from repro.servers.control import (
     ControlResponse,
     RTSP_PORT,
 )
-from repro.repair.nack import NackRequest
-from repro.servers.feedback import ReceiverReport
 from repro.servers.pacing import Pacer
 from repro.servers.session import ServerSession, SessionState
 from repro.telemetry.events import (
@@ -119,20 +117,8 @@ class StreamingServer:
             # A crashed server answers nothing: requests and keepalives
             # time out on the client side, which is the whole point.
             return
-        if isinstance(message, ReceiverReport):
-            controller = self.scaling_controllers.get(message.session_id)
-            if controller is not None:
-                controller.on_report(message, self.host.sim.now)
-            cc_controller = self.cc_controllers.get(message.session_id)
-            if cc_controller is not None:
-                cc_controller.on_report(message, self.host.sim.now)
-            return
-        if isinstance(message, NackRequest):
-            repair = self.repair_controllers.get(message.session_id)
-            if repair is not None:
-                repair.on_nack(message, self.host.sim.now)
-            return
         if not isinstance(message, ControlRequest):
+            self._on_feedback(message)
             return
         handler = {
             "DESCRIBE": self._handle_describe,
@@ -149,6 +135,24 @@ class StreamingServer:
         else:
             response = handler(connection, message)
         connection.send_message(response, response.wire_bytes)
+
+    def _on_feedback(self, message: object) -> None:
+        """A receiver report or a NACK, which only a client with
+        feedback or repair armed sends; anything else is ignored."""
+        from repro.repair.nack import NackRequest
+        from repro.servers.feedback import ReceiverReport
+
+        if isinstance(message, ReceiverReport):
+            controller = self.scaling_controllers.get(message.session_id)
+            if controller is not None:
+                controller.on_report(message, self.host.sim.now)
+            cc_controller = self.cc_controllers.get(message.session_id)
+            if cc_controller is not None:
+                cc_controller.on_report(message, self.host.sim.now)
+        elif isinstance(message, NackRequest):
+            repair = self.repair_controllers.get(message.session_id)
+            if repair is not None:
+                repair.on_nack(message, self.host.sim.now)
 
     def _handle_describe(self, connection: TcpConnection,
                          request: ControlRequest) -> ControlResponse:

@@ -28,144 +28,27 @@ and the hot layers light up.  Without it, the instrumented paths cost
 one attribute load and a ``None`` check.
 """
 
-from repro.telemetry.core import Telemetry, TelemetrySnapshot
-from repro.telemetry.critical_path import (
-    AduLatency,
-    HopTiming,
-    aggregate_attribution,
-    attribute_latency,
-    attribution_dict,
-    slowest,
-)
-from repro.telemetry.events import (
-    ABR_SEGMENT,
-    ABR_SWITCH,
-    ALL_EVENT_TYPES,
-    CC_STATE,
-    FRAGMENT_EMITTED,
-    PACKET_DELIVERED,
-    PACKET_ENQUEUED,
-    PACKET_LOSS,
-    PLAYOUT_START,
-    QUEUE_DROP,
-    RATE_SWITCH,
-    REASSEMBLY_TIMEOUT,
-    REBUFFER_START,
-    REBUFFER_STOP,
-    STREAM_END,
-    STREAM_START,
-    TraceEvent,
-    TraceEventBus,
-)
-from repro.telemetry.exporters import (
-    load_summary,
-    rebuffer_timeline,
-    series_csv,
-    summary_csv,
-    summary_dict,
-    to_json,
-)
-from repro.telemetry.profiler import ProfileReport, SimProfiler
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.sinks import (
-    JsonlSink,
-    MemorySink,
-    NullSink,
-)
-from repro.telemetry.streaming import (
-    ExactSumHistogram,
-    StreamingSink,
-    StreamingSummary,
-    TopKSketch,
-    TurbulenceRollup,
-    fold_events,
-)
-from repro.telemetry.spans import (
-    ALL_SPAN_KINDS,
-    SPAN_ADU,
-    SPAN_BUFFER,
-    SPAN_PACKET,
-    SPAN_PROP,
-    SPAN_QUEUE,
-    SPAN_REASSEMBLY,
-    SPAN_TX,
-    Span,
-    SpanRecorder,
-)
-from repro.telemetry.trace_export import (
-    chrome_trace,
-    span_record,
-    spans_jsonl,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ABR_SEGMENT",
-    "ABR_SWITCH",
-    "ALL_EVENT_TYPES",
-    "ALL_SPAN_KINDS",
-    "AduLatency",
-    "CC_STATE",
-    "Counter",
-    "ExactSumHistogram",
-    "FRAGMENT_EMITTED",
-    "Gauge",
-    "Histogram",
-    "HopTiming",
-    "JsonlSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "NullSink",
-    "PACKET_DELIVERED",
-    "PACKET_ENQUEUED",
-    "PACKET_LOSS",
-    "PLAYOUT_START",
-    "ProfileReport",
-    "QUEUE_DROP",
-    "RATE_SWITCH",
-    "REASSEMBLY_TIMEOUT",
-    "REBUFFER_START",
-    "REBUFFER_STOP",
-    "SPAN_ADU",
-    "SPAN_BUFFER",
-    "SPAN_PACKET",
-    "SPAN_PROP",
-    "SPAN_QUEUE",
-    "SPAN_REASSEMBLY",
-    "SPAN_TX",
-    "STREAM_END",
-    "STREAM_START",
-    "SimProfiler",
-    "Span",
-    "SpanRecorder",
-    "StreamingSink",
-    "StreamingSummary",
-    "Telemetry",
-    "TelemetrySnapshot",
-    "TopKSketch",
-    "TraceEvent",
-    "TraceEventBus",
-    "TurbulenceRollup",
-    "aggregate_attribution",
-    "fold_events",
-    "attribute_latency",
-    "attribution_dict",
-    "chrome_trace",
-    "load_summary",
-    "rebuffer_timeline",
-    "series_csv",
-    "slowest",
-    "span_record",
-    "spans_jsonl",
-    "summary_csv",
-    "summary_dict",
-    "to_json",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core": ("Telemetry", "TelemetrySnapshot"),
+    ".critical_path": ("AduLatency", "HopTiming", "aggregate_attribution",
+                       "attribute_latency", "attribution_dict", "slowest"),
+    ".events": ("ABR_SEGMENT", "ABR_SWITCH", "ALL_EVENT_TYPES", "CC_STATE",
+                "FRAGMENT_EMITTED", "PACKET_DELIVERED", "PACKET_ENQUEUED",
+                "PACKET_LOSS", "PLAYOUT_START", "QUEUE_DROP", "RATE_SWITCH",
+                "REASSEMBLY_TIMEOUT", "REBUFFER_START", "REBUFFER_STOP",
+                "STREAM_END", "STREAM_START", "TraceEvent", "TraceEventBus"),
+    ".exporters": ("load_summary", "rebuffer_timeline", "series_csv",
+                   "summary_csv", "summary_dict", "to_json"),
+    ".profiler": ("ProfileReport", "SimProfiler"),
+    ".registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".sinks": ("JsonlSink", "MemorySink", "NullSink"),
+    ".streaming": ("ExactSumHistogram", "StreamingSink", "StreamingSummary",
+                   "TopKSketch", "TurbulenceRollup", "fold_events"),
+    ".spans": ("ALL_SPAN_KINDS", "SPAN_ADU", "SPAN_BUFFER", "SPAN_PACKET",
+               "SPAN_PROP", "SPAN_QUEUE", "SPAN_REASSEMBLY", "SPAN_TX", "Span",
+               "SpanRecorder"),
+    ".trace_export": ("chrome_trace", "span_record", "spans_jsonl",
+                      "write_chrome_trace", "write_spans_jsonl"),
+})

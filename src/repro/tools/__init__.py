@@ -6,28 +6,13 @@ the trackers' playlist support to play clips back to back.  These are
 their simulated equivalents.
 """
 
-from repro.tools.packet_pair import (
-    BandwidthEstimate,
-    estimate_bottleneck,
-    estimate_from_trace,
-)
-from repro.tools.ping import PingReport, PingSession, run_ping
-from repro.tools.playlist import PlaylistEntry, PlaylistRunner
-from repro.tools.stability import StabilityVerdict, verify_stability
-from repro.tools.tracert import TracerouteHop, TracerouteReport, run_tracert
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BandwidthEstimate",
-    "PingReport",
-    "PingSession",
-    "PlaylistEntry",
-    "PlaylistRunner",
-    "StabilityVerdict",
-    "TracerouteHop",
-    "verify_stability",
-    "TracerouteReport",
-    "estimate_bottleneck",
-    "estimate_from_trace",
-    "run_ping",
-    "run_tracert",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".packet_pair": ("BandwidthEstimate", "estimate_bottleneck",
+                     "estimate_from_trace"),
+    ".ping": ("PingReport", "PingSession", "run_ping"),
+    ".playlist": ("PlaylistEntry", "PlaylistRunner"),
+    ".stability": ("StabilityVerdict", "verify_stability"),
+    ".tracert": ("TracerouteHop", "TracerouteReport", "run_tracert"),
+})

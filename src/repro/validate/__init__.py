@@ -13,34 +13,13 @@ for the catalog and diagram):
   checked-in digests under ``tests/golden/``.
 """
 
-from repro.errors import ValidationError
-from repro.validate.checker import (
-    INVARIANT_NAMES,
-    RunValidator,
-    Violation,
-)
-from repro.validate.differential import (
-    DifferentialReport,
-    run_differential,
-    study_surface,
-)
-from repro.validate.golden import (
-    GOLDEN_SCENARIOS,
-    GoldenScenario,
-    check_golden,
-    compute_golden,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "INVARIANT_NAMES",
-    "RunValidator",
-    "Violation",
-    "ValidationError",
-    "DifferentialReport",
-    "run_differential",
-    "study_surface",
-    "GOLDEN_SCENARIOS",
-    "GoldenScenario",
-    "check_golden",
-    "compute_golden",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checker": ("INVARIANT_NAMES", "RunValidator", "Violation"),
+    "repro.errors": ("ValidationError",),
+    ".differential": ("DifferentialReport", "run_differential",
+                      "study_surface"),
+    ".golden": ("GOLDEN_SCENARIOS", "GoldenScenario", "check_golden",
+                "compute_golden"),
+})

@@ -22,7 +22,7 @@ import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.capture import serialize
 from repro.experiments.cache import (
@@ -34,12 +34,9 @@ from repro.experiments.cache import (
 from repro.experiments.runner import PairRunResult, StudyResults, run_spec
 from repro.experiments.spec import RunSpec
 from repro.players import logging as tracker_logging
-from repro.telemetry.core import Telemetry
-from repro.telemetry.exporters import to_json
-from repro.telemetry.sinks import MemorySink, encode_event
-from repro.telemetry.spans import SpanRecorder
-from repro.telemetry.streaming import fold_events
-from repro.telemetry.trace_export import spans_jsonl
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a surface needs them
+    from repro.telemetry.core import Telemetry
 
 
 def _digest(text: str) -> str:
@@ -52,6 +49,10 @@ def _fresh_telemetry(spec: Optional[RunSpec] = None) -> Telemetry:
     Span tracing is left off under the fast path, which refuses it (the
     director skips the per-hop events spans are built from).
     """
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.sinks import MemorySink
+    from repro.telemetry.spans import SpanRecorder
+
     fast = spec is not None and spec.fast_path is not None
     spans = None if fast else SpanRecorder()
     return Telemetry(sinks=[MemorySink(capacity=None)], spans=spans)
@@ -97,6 +98,10 @@ def study_surface(study: StudyResults,
         for name, text in run_surface(run).items():
             surfaces[f"run[{run.label}].{name}"] = _digest(text)
     if telemetry is not None:
+        from repro.telemetry.exporters import to_json
+        from repro.telemetry.sinks import encode_event
+        from repro.telemetry.trace_export import spans_jsonl
+
         surfaces["telemetry.summary"] = _digest(to_json(telemetry))
         surfaces["telemetry.events"] = _digest(
             "\n".join(encode_event(event)
@@ -199,6 +204,8 @@ def run_differential(spec: RunSpec, jobs: int = 2) -> DifferentialReport:
     # reproduce the per-run merged summary byte for byte — the bounded
     # fold lost nothing the unbounded buffer kept.
     if study_seq.streaming is not None:
+        from repro.telemetry.streaming import fold_events
+
         refold = fold_events(telemetry_seq.memory_events())
         if telemetry_seq.spans is not None:
             refold.fold_spans(telemetry_seq.spans.spans)

@@ -500,22 +500,83 @@ class TestTrends:
             fit_polynomial_trend([1.0], [1.0, 2.0])
 
     def test_sweep_imports_leave_numpy_unloaded(self):
-        # Only Figure 3's fit needs numpy, so importing what a sweep
-        # and its figures use must not load it.  A fresh interpreter,
-        # since this one may have loaded numpy already.
-        src = str(Path(repro.__file__).resolve().parents[1])
-        modules = ["experiments.parallel", "experiments.runner",
+        # Only Figure 3's fit needs numpy, and a clean sequential sweep
+        # arms no opt-in subsystem, so importing what the end-to-end
+        # benchmark imports and running a one-set sweep loads none of
+        # them.  A fresh interpreter, since this one has loaded them.
+        loaded = _modules_after_sweep("clean")
+        assert not [name for name in loaded if name in UNARMED
+                    or name == "repro.cc" or name.startswith("repro.cc.")]
+
+    def test_armed_sweep_loads_its_subsystems(self):
+        # The positive case: the same check sees the modules a sweep
+        # arming telemetry, a fault scenario, repair and a pool loads.
+        loaded = _modules_after_sweep("armed")
+        assert set(ARMED) <= set(loaded)
+
+
+#: Modules a clean sequential sweep never runs: numpy (Figure 3's fit),
+#: the worker pool, and the opt-in subsystems (plus every ``repro.cc``
+#: module).
+UNARMED = frozenset((
+    "numpy", "multiprocessing", "concurrent.futures",
+    "repro.faults.controller", "repro.faults.report",
+    "repro.validate.checker", "repro.validate.golden",
+    *(f"repro.telemetry.{name}" for name in (
+        "core", "registry", "sinks", "exporters", "profiler", "streaming",
+        "critical_path", "trace_export")),
+    "repro.tools.packet_pair", "repro.tools.playlist",
+    "repro.capture.pcap", "repro.capture.filters", "repro.capture.hierarchy",
+    "repro.repair.sender", "repro.servers.scaling"))
+#: Of those, what the armed sweeps load.
+ARMED = ("multiprocessing", "concurrent.futures", "repro.faults.controller",
+         "repro.servers.scaling", "repro.repair.sender",
+         "repro.telemetry.core", "repro.telemetry.registry",
+         "repro.telemetry.sinks", "repro.telemetry.profiler")
+#: What ``benchmarks/e2e/measure.py`` imports before its set-up sweep.
+HARNESS_MODULES = ("experiments.parallel", "experiments.runner",
                    "experiments.datasets", "experiments.figures",
                    "faults.scenario", "media.library", "netsim.flowlevel",
-                   "repair.base", "validate.differential"]
-        code = ("import importlib, sys; sys.path.insert(0, sys.argv[1])\n"
-                "for name in sys.argv[2:]:\n"
-                "    importlib.import_module('repro.' + name)\n"
-                "print('numpy' in sys.modules)")
-        child = subprocess.run([sys.executable, "-c", code, src, *modules],
-                               capture_output=True, text=True, timeout=120,
-                               check=True)
-        assert child.stdout.strip() == "False"
+                   "repair.base", "validate.differential")
+#: Prints ``sys.modules`` from an exit hook registered first, so it runs
+#: last: after ``shutdown_pool``, which must import nothing either.
+_SWEEP_CHILD = """
+import atexit, importlib, sys
+atexit.register(lambda: print("\\n".join(sorted(sys.modules))))
+sys.path.insert(0, sys.argv[1])
+for name in sys.argv[3:]:
+    importlib.import_module("repro." + name)
+from repro.experiments import runner
+from repro.experiments.datasets import build_table1_library
+from repro.experiments.figures import ALL_FIGURES
+from repro.media.library import ClipLibrary
+
+library = ClipLibrary()
+library.add_set(next(iter(build_table1_library(duration_scale=0.02))))
+if sys.argv[2] == "armed":
+    from repro.faults.scenario import build_scenario
+    from repro.repair.base import RepairConfig
+    from repro.telemetry import Telemetry
+
+    runner.run_study(library, seed=7, telemetry=Telemetry(),
+                     scenario=build_scenario("burst-loss", 7),
+                     repair=RepairConfig())
+    runner.usable_cpus = lambda: 2  # fork the pool on any host
+    runner.run_study(library, seed=7, jobs=2, min_parallel_runs=0)
+else:
+    runner.run_study(library, seed=7)
+"""
+
+
+def _modules_after_sweep(mode: str):
+    """``sys.modules``, at exit, of a fresh interpreter that imported
+    the benchmark's modules and ran one-set sweeps (``"clean"`` or
+    ``"armed"``)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _SWEEP_CHILD, src, mode, *HARNESS_MODULES],
+        capture_output=True, text=True, timeout=120, check=True)
+    return child.stdout.split()
 
 
 class TestReport:

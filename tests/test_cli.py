@@ -269,6 +269,45 @@ class TestModernScorecardCommand:
         assert svg_path.read_text().startswith("<svg")
 
 
+class TestTooSmallToAnalyse:
+    """Inputs the simulation accepts but the analysis cannot use: one
+    ``error:`` line on stderr, status 2, and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["boundary", "--clients", "1"],
+         "error: a boundary study needs at least 2 clients"),
+        (["boundary", "--clients", "2", "--duration", "0.05"],
+         "error: flow too short to fit a turbulence profile: "),
+        (["boundary", "--clients", "2", "--kbps", "0.001",
+          "--duration", "1"],
+         "error: flow too short to fit a turbulence profile: "),
+        (["figure", "fig09", "--scale", "0.001"],
+         "error: fig09: need at least two arrivals for interarrivals"),
+        (["figure", "sec4", "--scale", "0.001"],
+         "error: sec4: flow too short to fit a turbulence profile: "),
+        (["study", "--scale", "0.001", "--no-cache"],
+         "error: fig09: need at least two arrivals for interarrivals"),
+    ])
+    def test_exits_two_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
+
+
+class TestScorecardModernOnlyFlags:
+    @pytest.mark.parametrize("flag", ["--transports", "--svg"])
+    def test_flag_without_modern_exits_two(self, flag, tmp_path, capsys):
+        value = (str(tmp_path / "card.svg") if flag == "--svg"
+                 else "2002,abr")
+        assert main(["scorecard", "--scale", "0.02", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{flag} needs --modern\n"
+        assert not (tmp_path / "card.svg").exists()
+
+
 class TestBadArgumentExitCodes:
     """Every subcommand's bad-argument paths: stderr message, status 2."""
 
