@@ -696,6 +696,7 @@ def _cmd_pcap_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
+    from repro.errors import AnalysisError, ExperimentError
     from repro.experiments.runner import run_spec
     from repro.experiments.scorecard import render_scorecard, run_scorecard
 
@@ -705,7 +706,6 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
             raise _UsageError(f"{flag} needs --modern")
     spec = _spec_from_args(args)
     if args.modern:
-        from repro.errors import ExperimentError
         from repro.experiments.modern import (
             render_modern_scorecard,
             run_modern_scorecard,
@@ -719,15 +719,19 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
         try:
             card = run_modern_scorecard(spec, jobs=args.jobs,
                                         transports=transports)
-        except ExperimentError as exc:
-            return _usage_error(f"error: {exc}")
+        except (AnalysisError, ExperimentError) as exc:
+            raise _UsageError(f"error: {exc}") from exc
         print(render_modern_scorecard(card))
         if args.svg:
             with open(args.svg, "w") as stream:
                 stream.write(scorecard_svg(card))
             print(f"wrote {args.svg}")
         return 0
-    results = run_scorecard(run_spec(spec))
+    study = run_spec(spec)
+    try:
+        results = run_scorecard(study)
+    except AnalysisError as exc:
+        raise _UsageError(f"error: {exc}") from exc
     print(render_scorecard(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -34,7 +34,7 @@ from repro.analysis.interarrival import first_of_group_interarrivals
 from repro.capture.reassembly import fragmentation_percent
 from repro.cc.abr import AbrConfig
 from repro.cc.base import CcConfig, cc_names
-from repro.errors import ExperimentError
+from repro.errors import AnalysisError, ExperimentError
 from repro.experiments.cache import get_study
 from repro.experiments.runner import StudyResults
 from repro.experiments.scorecard import ScoreRow, render_rows
@@ -170,6 +170,8 @@ def run_modern_scorecard(spec: RunSpec, jobs: int = 1,
 
     Raises:
         ExperimentError: for an unknown transport name.
+        AnalysisError: naming the metric, when a study is too short
+            for it.
     """
     names = tuple(transports) if transports else MODERN_TRANSPORTS
     configs = {name: _transport_configs(name) for name in names}
@@ -180,8 +182,11 @@ def run_modern_scorecard(spec: RunSpec, jobs: int = 1,
         cc, abr = configs[name]
         studies[name] = get_study(replace(spec, cc=cc, abr=abr), jobs=jobs)
     for artifact, label, extract, suffix, digits in _METRICS:
-        cells = tuple(_fmt(extract(studies[name]), suffix, digits)
-                      for name in names)
+        try:
+            cells = tuple(_fmt(extract(studies[name]), suffix, digits)
+                          for name in names)
+        except AnalysisError as exc:
+            raise AnalysisError(f"{artifact}: {label}: {exc}") from exc
         card.rows.append(ScoreRow(artifact=artifact, label=label,
                                   cells=cells))
     for name in names:

@@ -21,7 +21,7 @@ from repro.analysis.interarrival import (
     normalized_interarrivals,
 )
 from repro.capture.reassembly import fragmentation_percent
-from repro.errors import ExperimentError
+from repro.errors import AnalysisError, ExperimentError
 from repro.experiments.runner import StudyResults
 from repro.media.library import RateBand
 from repro.servers.realserver import buffering_ratio
@@ -266,12 +266,17 @@ def run_scorecard(study: StudyResults) -> List[ScoreRow]:
 
     Raises:
         ExperimentError: for an empty study.
+        AnalysisError: naming the claim, when ``study`` is too short
+            for its check.
     """
     if len(study) == 0:
         raise ExperimentError("empty study")
     results = []
     for artifact, claim, function in _CHECKS:
-        measured, passed = function(study)
+        try:
+            measured, passed = function(study)
+        except AnalysisError as exc:
+            raise AnalysisError(f"{artifact}: {claim}: {exc}") from exc
         results.append(ScoreRow(artifact=artifact, label=claim,
                                 cells=(measured,), passed=passed))
     return results

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.datasets import build_table1_library
 from repro.media.library import ClipLibrary
-from repro.netsim.flowlevel import SPANS_REFUSAL
+from repro.telemetry.spans import SPANS_REFUSAL
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cc.abr import AbrConfig

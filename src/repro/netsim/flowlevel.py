@@ -58,6 +58,7 @@ from repro.netsim.headers import IpProtocol
 from repro.netsim.link import LossModel, _Direction, _no_jitter
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
+from repro.telemetry.spans import SPANS_REFUSAL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.engine import Simulator
@@ -75,11 +76,6 @@ REASON_LOSSY = "lossy-link"
 REASON_CONTENTION = "contention"
 REASON_INTERLEAVE = "interleave"
 REASON_BLACKOUT = "blackout"
-
-#: Why the director refuses span tracing; the study-level compatibility
-#: table (:mod:`repro.experiments.spec`) cites the same string.
-SPANS_REFUSAL = ("the flow-level fast path emits no per-hop span events; "
-                 "run with span tracing off or fast_path=None")
 
 
 @dataclass(frozen=True)
@@ -482,9 +478,6 @@ class FlowLevelDirector:
             direction._last_delivery = last_delivery
             stats = direction.stats
             stats.packets_sent += count
-            telemetry = direction._telemetry
-            if telemetry is not None:
-                direction._ctr_sent.inc(count)
             if direction is final:
                 continue
             # Intermediate hops: their deliveries all precede the final
@@ -492,9 +485,6 @@ class FlowLevelDirector:
             # direction delivers through its own event path below.
             stats.packets_delivered += count
             stats.bytes_delivered += train_bytes
-            if telemetry is not None:
-                direction._ctr_delivered.inc(count)
-                direction._ctr_bytes.inc(train_bytes)
         # Each router would have lowered the TTL by one; the REASON_TTL
         # refusal above keeps it at 1 or more.  The sender's tx taps
         # have already seen the sender's value.

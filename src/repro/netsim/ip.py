@@ -137,10 +137,10 @@ class IpLayer:
                        if self._telemetry is not None else None)
         if self._telemetry is not None:
             registry = self._telemetry.registry
-            self._ctr_fragments = registry.counter("ip.fragments_sent",
-                                                   host=host.name)
-            self._ctr_timeouts = registry.counter("ip.reassembly_timeouts",
-                                                  host=host.name)
+            registry.track("ip.fragments_sent", self.stats, "fragments_sent",
+                           host=host.name)
+            registry.track("ip.reassembly_timeouts", self.stats,
+                           "reassembly_timeouts", host=host.name)
             self._hist_fragments = registry.histogram(
                 "ip.fragments_per_datagram",
                 bounds=(1, 2, 3, 4, 6, 8, 12, 16, 32, 64),
@@ -217,7 +217,6 @@ class IpLayer:
             offset_bytes += this_payload
         self.stats.fragments_sent += len(packets)
         if self._telemetry is not None:
-            self._ctr_fragments.inc(len(packets))
             self._hist_fragments.observe(len(packets))
             self._telemetry.emit(FRAGMENT_EMITTED, host=self.host.name,
                                  datagram_id=ident,
@@ -322,7 +321,6 @@ class IpLayer:
             self._spans.reassembly_timed_out(buffer.span, self.host.sim.now,
                                              len(buffer.fragments))
         if self._telemetry is not None:
-            self._ctr_timeouts.inc()
             self._telemetry.emit(REASSEMBLY_TIMEOUT, host=self.host.name,
                                  fragments_held=len(buffer.fragments),
                                  wasted_bytes=buffer.received_bytes)

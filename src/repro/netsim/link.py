@@ -231,18 +231,16 @@ class _Direction:
         if self._telemetry is not None:
             queue.bind_telemetry(self._telemetry, link=label)
             registry = self._telemetry.registry
-            self._ctr_sent = registry.counter("link.packets_sent", link=label)
-            self._ctr_delivered = registry.counter("link.packets_delivered",
-                                                   link=label)
-            self._ctr_lost = registry.counter("link.packets_lost", link=label)
-            self._ctr_bytes = registry.counter("link.bytes_delivered",
-                                               link=label)
+            for name, field in (
+                    ("link.packets_sent", "packets_sent"),
+                    ("link.packets_delivered", "packets_delivered"),
+                    ("link.packets_lost", "packets_lost"),
+                    ("link.bytes_delivered", "bytes_delivered")):
+                registry.track(name, self.stats, field, link=label)
 
     def send(self, packet: Packet) -> None:
         self.stats.packets_sent += 1
         telemetry = self._telemetry
-        if telemetry is not None:
-            self._ctr_sent.inc()
         if not self._up:
             self._drop_down(packet)
             return
@@ -252,14 +250,11 @@ class _Direction:
                 self._spans.packet_dropped(packet, self._sim.now,
                                            STATUS_LOST, self._label)
             if telemetry is not None:
-                self._ctr_lost.inc()
                 telemetry.emit(PACKET_LOSS, link=self._label,
                                packet_bytes=packet.ip_bytes)
             return
         if not self._queue.offer(packet):
             self.stats.packets_lost += 1
-            if telemetry is not None:
-                self._ctr_lost.inc()
             return
         if telemetry is not None:
             telemetry.emit(PACKET_ENQUEUED, link=self._label,
@@ -290,7 +285,6 @@ class _Direction:
             self._spans.packet_dropped(packet, self._sim.now,
                                        STATUS_LOST, self._label)
         if self._telemetry is not None:
-            self._ctr_lost.inc()
             self._telemetry.emit(PACKET_LOSS, link=self._label,
                                  packet_bytes=packet.ip_bytes,
                                  reason="link_down")
@@ -420,8 +414,6 @@ class _Direction:
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += packet.ip_bytes
         if self._telemetry is not None:
-            self._ctr_delivered.inc()
-            self._ctr_bytes.inc(packet.ip_bytes)
             self._telemetry.emit(PACKET_DELIVERED, link=self._label,
                                  packet_bytes=packet.ip_bytes)
         self._sink.receive(packet)

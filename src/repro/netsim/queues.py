@@ -45,7 +45,6 @@ class DropTailQueue:
         self._telemetry: Optional["Telemetry"] = None
         self._event_fields: dict = {}
         self._depth_gauge = None
-        self._drop_counter = None
         self._spans = None
         self._span_link = ""
 
@@ -58,7 +57,8 @@ class DropTailQueue:
             return
         self._event_fields = dict(labels)
         self._depth_gauge = telemetry.gauge("queue.bytes", **labels)
-        self._drop_counter = telemetry.counter("queue.drops", **labels)
+        telemetry.registry.track("queue.drops", self.stats, "dropped",
+                                 **labels)
         self._spans = telemetry.spans
         self._span_link = str(labels.get("link", ""))
 
@@ -69,7 +69,6 @@ class DropTailQueue:
             self._spans.packet_dropped(packet, telemetry.now(),
                                        STATUS_DROPPED, self._span_link)
         if telemetry is not None:
-            self._drop_counter.inc()
             telemetry.emit(QUEUE_DROP, queue_bytes=self._bytes,
                            packet_bytes=packet.ip_bytes,
                            **self._event_fields)

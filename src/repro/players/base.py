@@ -250,10 +250,10 @@ class StreamingClient:
                 telemetry=telemetry, label=self.family.name.lower())
         if telemetry is not None:
             label = self.family.name.lower()
-            self._ctr_packets = telemetry.counter("player.packets",
-                                                  player=label)
-            self._ctr_bytes = telemetry.counter("player.media_bytes",
-                                                player=label)
+            telemetry.registry.track("player.packets", self.stats,
+                                     "packets_received", player=label)
+            telemetry.registry.track("player.media_bytes", self.stats,
+                                     "bytes_received", player=label)
         if self.uses_interleaving:
             self.interleaver = BatchingReceiver()
         client_port = None
@@ -365,9 +365,6 @@ class StreamingClient:
             payload_bytes=datagram.payload_bytes,
             fragment_count=datagram.fragment_count,
             first_packet_time=datagram.first_packet_time))
-        if self._telemetry is not None:
-            self._ctr_packets.inc()
-            self._ctr_bytes.inc(datagram.payload_bytes)
         # Media-seconds accounting for the delay buffer.
         media_time = datagram.payload.media_time or 0.0
         delta = max(0.0, media_time - self._last_media_time)

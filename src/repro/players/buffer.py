@@ -72,8 +72,8 @@ class DelayBuffer:
         if telemetry is not None:
             self._occupancy_gauge = telemetry.gauge("buffer.media_seconds",
                                                     player=label)
-            self._underrun_counter = telemetry.counter("buffer.underruns",
-                                                       player=label)
+            telemetry.registry.track("buffer.underruns", self, "underruns",
+                                     player=label)
 
     def _drain_to(self, now: float) -> None:
         if self.playout_started_at is None or self._last_update is None:
@@ -95,7 +95,6 @@ class DelayBuffer:
                 self._rebuffering = True
                 self._rebuffer_started_at = self._last_update + before
                 if self._telemetry is not None:
-                    self._underrun_counter.inc()
                     # The buffer ran dry `before` media-seconds after
                     # the last update, not at observation time.
                     self._telemetry.bus.emit(

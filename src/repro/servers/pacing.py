@@ -61,7 +61,6 @@ class Pacer:
         self.finished_at: Optional[float] = None
         self.bytes_sent = 0
         self.datagrams_sent = 0
-        self._sequence = 0
         self._stopped = False
         self._paused = False
         self._resume_pending = False
@@ -104,9 +103,9 @@ class Pacer:
         if self._telemetry is not None:
             family = clip.family.name.lower()
             registry = self._telemetry.registry
-            self._ctr_datagrams = registry.counter("pacer.datagrams",
-                                                   family=family)
-            self._ctr_bytes = registry.counter("pacer.bytes", family=family)
+            registry.track("pacer.datagrams", self, "datagrams_sent",
+                           family=family)
+            registry.track("pacer.bytes", self, "bytes_sent", family=family)
             self._hist_gap = registry.histogram("pacer.send_gap_seconds",
                                                 bounds=_GAP_BOUNDS,
                                                 family=family)
@@ -256,15 +255,12 @@ class Pacer:
             # buffer span downstream hangs off this one.
             meta.span = self._spans.adu_sent(
                 self.sim.now, self.clip.family.name.lower(),
-                self._sequence, size)
+                self.datagrams_sent, size)
         self.socket.send(self.dst, self.dst_port, size, payload=meta)
         self.bytes_sent += size
         self._budget_consumed = budget_after
         self.datagrams_sent += 1
-        self._sequence += 1
         if self._telemetry is not None:
-            self._ctr_datagrams.inc()
-            self._ctr_bytes.inc(size)
             self._hist_size.observe(size)
             self._hist_gap.observe(delay)
         if self._repair is not None:
@@ -288,7 +284,7 @@ class Pacer:
         media_time = (sent_after / self._total_media_bytes
                       * self.schedule.duration
                       if self._total_media_bytes else 0.0)
-        return PayloadMeta(kind="media", adu_sequence=self._sequence,
+        return PayloadMeta(kind="media", adu_sequence=self.datagrams_sent,
                            frame_numbers=tuple(completed),
                            media_time=media_time)
 
@@ -310,7 +306,7 @@ class Pacer:
         # End-of-stream marker so the client can close its session.
         self.socket.send(self.dst, self.dst_port, 16,
                          payload=PayloadMeta(kind="media-eos",
-                                             adu_sequence=self._sequence))
+                                             adu_sequence=self.datagrams_sent))
         if self.on_finished is not None:
             self.on_finished()
 

@@ -1,18 +1,18 @@
 """The `Telemetry` facade: one handle for registry + bus + profiler.
 
-Instrumented layers never see the parts individually — they hold an
-optional ``Telemetry`` (usually via ``sim.telemetry``) and call
-``tel.emit(...)`` / ``tel.counter(...)`` behind a ``None`` check, so
-the disabled path costs a single attribute load.  The facade carries
-the simulated clock: :class:`~repro.netsim.engine.Simulator` binds
-itself on construction, after which ``tel.now()`` is the simulation
-time and every metric sample and trace event is stamped with it.
+Instrumented layers hold an optional ``Telemetry`` (usually via
+``sim.telemetry``) and call ``tel.emit(...)`` behind a ``None`` check,
+so the disabled path costs a single attribute load; counters read the
+layers' own stats (``tel.registry.track``).  The facade carries the
+simulated clock: :class:`~repro.netsim.engine.Simulator` binds itself
+on construction, after which ``tel.now()`` is the simulation time and
+every metric sample and trace event is stamped with it.
 
 One facade may outlive many simulators (the study runner rebinds it to
 each pair run's fresh ``Simulator``), which is what "a shared registry
 across the sweep" means in practice: per-run context labels
 (:meth:`set_context`) keep the runs' instruments distinct inside the
-one registry.
+one registry, and each context change frees the finished run's layers.
 """
 
 from __future__ import annotations

@@ -44,15 +44,22 @@ def format_labels(labels: LabelSet) -> str:
 
 
 class Counter:
-    """A monotonically-increasing count (packets sent, drops, ...)."""
+    """A monotonically-increasing count (packets sent, drops, ...): the
+    :meth:`inc` total plus the fields :meth:`MetricsRegistry.track` adds."""
 
-    __slots__ = ("value",)
+    __slots__ = ("_count", "_tracked")
 
     def __init__(self) -> None:
-        self.value = 0
+        self._count = 0
+        self._tracked: Tuple[Tuple[object, str], ...] = ()
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
+        self._count += amount
+
+    @property
+    def value(self) -> int:
+        return self._count + sum(getattr(owner, field)
+                                 for owner, field in self._tracked)
 
 
 class Gauge:
@@ -171,16 +178,23 @@ class MetricsRegistry:
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
         self._context: Dict[str, object] = {}
+        self._unsettled: List[Counter] = []
 
     # ------------------------------------------------------------------
     # Context
     # ------------------------------------------------------------------
     def set_context(self, **labels: object) -> None:
-        """Labels merged into every instrument created from now on."""
+        """Labels merged into every instrument created from now on.
+
+        A change ends a run: its tracked counters freeze, so the
+        registry keeps no finished run alive and pickles as numbers."""
+        for counter in self._unsettled:
+            counter._count, counter._tracked = counter.value, ()
+        self._unsettled = []
         self._context = dict(labels)
 
     def clear_context(self) -> None:
-        self._context = {}
+        self.set_context()
 
     def _key(self, name: str, labels: Dict[str, object]) -> Tuple[str, LabelSet]:
         if self._context:
@@ -198,6 +212,15 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._counters[key] = Counter()
         return instrument
+
+    def track(self, name: str, owner: object, field: str,
+              **labels: object) -> None:
+        """Add ``owner.<field>`` to counter ``name`` until the next
+        context change, which freezes the sum and drops ``owner``: a
+        layer tracks the count its stats keep, with no second copy."""
+        counter = self.counter(name, **labels)
+        counter._tracked += ((owner, field),)
+        self._unsettled.append(counter)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         key = self._key(name, labels)

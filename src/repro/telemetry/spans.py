@@ -62,6 +62,11 @@ STATUS_TIMEOUT = "timeout"      # reassembly gave up on the train
 STATUS_PLAYED = "played"        # media reached its playout instant
 STATUS_DISCARDED = "discarded"  # playout never started for this media
 
+#: Why the flow-level director refuses span tracing; the study-level
+#: compatibility table (:mod:`repro.experiments.spec`) cites it too.
+SPANS_REFUSAL = ("the flow-level fast path emits no per-hop span events; "
+                 "run with span tracing off or fast_path=None")
+
 
 class Span:
     """One node of the provenance forest.

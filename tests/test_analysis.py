@@ -508,6 +508,12 @@ class TestTrends:
         assert not [name for name in loaded if name in UNARMED
                     or name == "repro.cc" or name.startswith("repro.cc.")]
 
+    def test_sweep_leaves_the_fast_path_unloaded(self):
+        # The harness imports FlowLevelConfig itself, so this sweep
+        # imports none of its modules first.
+        loaded = _modules_after_sweep("clean", imports=())
+        assert "repro.netsim.flowlevel" not in loaded
+
     def test_armed_sweep_loads_its_subsystems(self):
         # The positive case: the same check sees the modules a sweep
         # arming telemetry, a fault scenario, repair and a pool loads.
@@ -568,13 +574,13 @@ else:
 """
 
 
-def _modules_after_sweep(mode: str):
+def _modules_after_sweep(mode: str, imports=HARNESS_MODULES):
     """``sys.modules``, at exit, of a fresh interpreter that imported
-    the benchmark's modules and ran one-set sweeps (``"clean"`` or
-    ``"armed"``)."""
+    ``imports`` (the benchmark's modules by default) and ran one-set
+    sweeps (``"clean"`` or ``"armed"``)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     child = subprocess.run(
-        [sys.executable, "-c", _SWEEP_CHILD, src, mode, *HARNESS_MODULES],
+        [sys.executable, "-c", _SWEEP_CHILD, src, mode, *imports],
         capture_output=True, text=True, timeout=120, check=True)
     return child.stdout.split()
 

@@ -287,6 +287,12 @@ class TestTooSmallToAnalyse:
          "error: sec4: flow too short to fit a turbulence profile: "),
         (["study", "--scale", "0.001", "--no-cache"],
          "error: fig09: need at least two arrivals for interarrivals"),
+        (["scorecard", "--scale", "0.001"],
+         "error: fig09: WMP interarrival CDF steps at 1.0, Real's is "
+         "gradual: need at least two arrivals for interarrivals"),
+        (["scorecard", "--modern", "--scale", "0.001"],
+         "error: fig06-09: interarrival CV: need at least two arrivals "
+         "for interarrivals"),
     ])
     def test_exits_two_with_one_line(self, argv, message, capsys):
         assert main(argv) == 2

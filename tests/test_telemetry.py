@@ -2,8 +2,11 @@
 and the instrumented-layer contract (deterministic, observational-only,
 near-zero cost when disabled)."""
 
+import gc
 import io
 import json
+import pickle
+import weakref
 
 import pytest
 
@@ -91,6 +94,33 @@ class TestRegistry:
                   for name, labels, counter in registry.counters()}
         assert values[(("link", "a"), ("run", "set1-l"))] == 1
         assert values[(("link", "a"), ("run", "set2-l"))] == 5
+
+    @pytest.mark.parametrize("boundary", [
+        lambda registry: registry.set_context(run="set2-l"),
+        MetricsRegistry.clear_context,
+    ], ids=["set_context", "clear_context"])
+    def test_tracked_counter_reads_its_owners_until_a_boundary(
+            self, boundary):
+        class Stats:
+            sent = 0
+
+        registry = MetricsRegistry()
+        first, second = Stats(), Stats()
+        registry.track("sent", first, "sent", link="a")
+        registry.track("sent", second, "sent", link="a")
+        counter = registry.counter("sent", link="a")
+        counter.inc(5)
+        first.sent, second.sent = 3, 4
+        assert counter.value == 12
+        first.sent += 1
+        assert counter.value == 13
+        owner = weakref.ref(first)
+        boundary(registry)
+        del first
+        gc.collect()
+        assert owner() is None
+        second.sent = 100
+        assert counter.value == 13
 
 
 class TestHistogram:
@@ -400,6 +430,13 @@ class TestExports:
         assert loaded == summary_dict(telemetry)
         # Re-encoding the loaded dict reproduces the bytes.
         assert json.dumps(loaded, sort_keys=True, indent=2) == text
+        # A worker-style snapshot: once the context change has settled
+        # the tracked counters, it pickles and merges back to the same
+        # export.
+        telemetry.clear_context()
+        clone = Telemetry()
+        clone.merge(pickle.loads(pickle.dumps(telemetry.snapshot())))
+        assert to_json(clone) == text
 
     def test_summary_and_series_csv_shapes(self):
         telemetry, _ = self.run_once(33)
@@ -442,6 +479,12 @@ class TestStudyThreading:
         # Every pair run contributed under its own context label.
         assert run_labels == {run.label for run in study.runs}
         assert len(study) == len(run_labels)
+        # Each context change settled the finished run's counters, so
+        # only the simulator the facade's clock is bound to stays alive.
+        gc.collect()
+        assert sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, Simulator)
+                   and obj.telemetry is telemetry) <= 1
 
     def test_run_study_without_telemetry_has_none(self):
         study = run_study(seed=9, duration_scale=0.02)
