@@ -78,6 +78,9 @@ def test_bench_flowlevel_uncontended_delivery(benchmark):
     assert count == DELIVERY_TRAINS
 
     ratios = []
+    # Each pair's ratio and the leg it ran first, for the failure
+    # message: it shows whether one pair alone read low.
+    readings = []
     for pair in range(GATE_PAIRS):
         legs = [FlowLevelConfig(strict=True), None]
         if pair % 2:
@@ -88,12 +91,16 @@ def test_bench_flowlevel_uncontended_delivery(benchmark):
             seconds["event" if fast_path is None else "fast"] = elapsed
             # Strict mode on an uncontended path is exact, not approximate.
             assert deliveries == fast_deliveries
-        ratios.append(seconds["event"] / seconds["fast"])
+        ratio = seconds["event"] / seconds["fast"]
+        ratios.append(ratio)
+        readings.append(f"{ratio:.2f}x ({'event' if pair % 2 else 'fast'} "
+                        "first)")
     speedup = statistics.median(ratios)
     assert speedup >= MIN_UNCONTENDED_SPEEDUP, (
         f"uncontended fast path only {speedup:.2f}x faster than the "
         f"event serializer (floor {MIN_UNCONTENDED_SPEEDUP}x); the "
-        "analytic model has lost its reason to exist")
+        "analytic model has lost its reason to exist; pairs in order: "
+        + ", ".join(readings))
 
 
 def test_bench_flowlevel_study(benchmark):

@@ -21,7 +21,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".addressing": ("IPAddress", "Subnet"),
-    ".engine": ("Event", "Simulator"),
+    ".engine": ("Simulator",),
     ".headers": ("IPv4Header", "IcmpHeader", "TcpHeader", "UdpHeader"),
     ".icmp": ("IcmpType",),
     ".ip": ("IpLayer", "ReassemblyBuffer"),

@@ -6,16 +6,18 @@ same timestamp run in scheduling order (a monotonic sequence number
 breaks ties), which makes every simulation fully deterministic for a
 given seed — a property the test suite relies on heavily.
 
-Heap entries are ``(time, sequence, event)`` tuples.  Sequence numbers
-are unique, so a comparison never reaches the event, and every heap
-sift compares floats and ints in C rather than calling back into
-Python.
+A heap entry is the event: a list ``[time, sequence, callback, args]``,
+returned as the handle (the :mod:`heapq` docs' priority-queue recipe).
+Sequence numbers are unique, so a comparison never reaches the
+callback, and every heap sift compares floats and ints in C.  The loop
+clears the callback of each entry it fires and skips a cleared one, so
+:meth:`Simulator.cancel` clears it too: cleared means fired or cancelled.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.netsim.rng import RandomStreams
@@ -29,36 +31,6 @@ _heappop = heapq.heappop
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.core import Telemetry
     from repro.validate.checker import RunValidator
-
-
-class Event:
-    """A scheduled callback: the handle :meth:`Simulator.schedule_at`
-    returns, and the payload of its heap entry.
-
-    Events never compare; the heap orders their ``(time, sequence,
-    event)`` entries.  A slotted plain class rather than a dataclass:
-    the event loop constructs these millions of times per study.
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled", "consumed")
-
-    def __init__(self, time: float, callback: Callable[..., None],
-                 args: tuple = ()) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: Set once the event has been popped (fired or discarded); a
-        #: cancel after that is a no-op.
-        self.consumed = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Event(time={self.time!r}, cancelled={self.cancelled!r})"
-
-    def cancel(self) -> None:
-        """Prevent the event from firing when its time comes."""
-        if not self.consumed:
-            self.cancelled = True
 
 
 class Simulator:
@@ -100,7 +72,7 @@ class Simulator:
                  fast_path: Optional[object] = None) -> None:
         self.now: float = 0.0
         self.streams = RandomStreams(seed)
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[list] = []
         self._sequence = 0
         self._running = False
         self._event_count = 0
@@ -126,8 +98,9 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+                    *args: Any) -> list:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``;
+        return the heap entry, the handle :meth:`cancel` takes.
 
         Raises:
             SimulationError: if ``time`` is in the past or NaN.
@@ -137,19 +110,19 @@ class Simulator:
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
-        event = Event(time, callback, args)
         sequence = self._sequence
         self._sequence = sequence + 1
-        _heappush(self._heap, (time, sequence, event))
-        return event
+        entry = [time, sequence, callback, args]
+        _heappush(self._heap, entry)
+        return entry
 
     def reserve_sequence(self) -> int:
         """Take the sequence number an event scheduled now would get.
 
         Passing it to :meth:`schedule_reserved` later runs that event,
         among events at its time, where it would have run had it been
-        scheduled now.  A link uses this to decide only once a packet
-        waits whether its transmitter needs a completion event at all.
+        scheduled now.  A link does this, inline, to decide only once a
+        packet waits whether its transmitter needs a completion event.
         """
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -157,7 +130,7 @@ class Simulator:
 
     def schedule_reserved(self, time: float, sequence: int,
                           callback: Callable[..., None],
-                          *args: Any) -> Event:
+                          *args: Any) -> list:
         """Schedule ``callback(*args)`` at ``time`` under a sequence
         number from :meth:`reserve_sequence` (use each one once).
 
@@ -169,12 +142,12 @@ class Simulator:
         if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time:.6f}s; clock is at {self.now:.6f}s")
-        event = Event(time, callback, args)
-        _heappush(self._heap, (time, sequence, event))
-        return event
+        entry = [time, sequence, callback, args]
+        _heappush(self._heap, entry)
+        return entry
 
     def schedule_in(self, delay: float, callback: Callable[..., None],
-                    *args: Any) -> Event:
+                    *args: Any) -> list:
         """Schedule ``callback(*args)`` after ``delay`` seconds.
 
         Raises:
@@ -183,6 +156,12 @@ class Simulator:
         if not delay >= 0:
             raise SimulationError(f"delay must be nonnegative, got {delay}")
         return self.schedule_at(self.now + delay, callback, *args)
+
+    @staticmethod
+    def cancel(entry: list) -> None:
+        """Keep a scheduled entry from firing (a no-op once it has fired
+        or been cancelled: its callback is already cleared then)."""
+        entry[2] = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -218,21 +197,20 @@ class Simulator:
             while heap:
                 if max_events is not None and executed >= max_events:
                     break
-                time, _, event = heap[0]
-                if event.cancelled:
+                entry = heap[0]
+                time, _, callback, args = entry
+                if callback is None:
                     pop(heap)
-                    event.consumed = True
                     continue
                 if until is not None and time > until:
                     break
                 pop(heap)
-                event.consumed = True
+                entry[2] = None
                 self.now = time
                 if profiler is not None:
-                    profiler.run_event(event.callback, event.args,
-                                       len(heap))
+                    profiler.run_event(callback, args, len(heap))
                 else:
-                    event.callback(*event.args)
+                    callback(*args)
                 executed += 1
         finally:
             self._running = False
@@ -248,12 +226,13 @@ class Simulator:
             True if an event ran, False if the heap was empty.
         """
         while self._heap:
-            time, _, event = _heappop(self._heap)
-            event.consumed = True
-            if event.cancelled:
+            entry = _heappop(self._heap)
+            time, _, callback, args = entry
+            if callback is None:
                 continue
+            entry[2] = None
             self.now = time
-            event.callback(*event.args)
+            callback(*args)
             self._event_count += 1
             return True
         return False
@@ -266,7 +245,7 @@ class Simulator:
         readers (the run-end invariant sweep, tests) can afford and the
         event loop then need not pay for on every schedule and pop.
         """
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     @property
     def executed_events(self) -> int:

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro import units
 from repro.errors import SimulationError
 from repro.netsim.headers import IpProtocol
-from repro.netsim.link import LossModel, _Direction, _no_jitter
+from repro.netsim.link import _Direction, _no_jitter
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 from repro.telemetry.spans import SPANS_REFUSAL
@@ -281,8 +281,7 @@ class FlowLevelDirector:
         for direction in directions:
             if not direction._up:
                 return None, REASON_LINK_DOWN
-            loss = direction._loss
-            if type(loss) is not LossModel or loss.probability > 0.0:
+            if direction._lossy:
                 return None, REASON_LOSSY
             queue = direction._queue
             if type(queue) is not DropTailQueue:
@@ -491,10 +490,10 @@ class FlowLevelDirector:
         hops = len(routers)
         final._in_flight += count
         schedule_at = sim.schedule_at
-        finish = self._finish_virtual
+        deliver = final._deliver
         for packet, arrival in zip(packets, arrivals):
             packet.ttl -= hops
-            schedule_at(arrival, finish, final, packet)
+            schedule_at(arrival, deliver, packet)
         if record:
             self.ledger.append(TrainRecord(
                 sent_at=now,
@@ -504,10 +503,6 @@ class FlowLevelDirector:
         self.packets_fast += count
         self.events_saved += count * 2 * len(directions) - count
         return True
-
-    def _finish_virtual(self, direction: _Direction,
-                        packet: Packet) -> None:
-        direction._deliver(packet)
 
     def _refuse(self, packets: List[Packet], reason: str) -> bool:
         self.trains_fallback += 1

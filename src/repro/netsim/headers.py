@@ -24,7 +24,7 @@ class IpProtocol(IntEnum):
     UDP = 17
 
 
-@dataclass(frozen=True)
+@dataclass
 class IPv4Header:
     """The fields of an IPv4 header the study's analysis depends on.
 
@@ -32,7 +32,8 @@ class IPv4Header:
     the fragmentation analysis (Figures 4 and 5); ``total_length``
     determines wire size.  The TTL, the one field a router rewrites,
     is :attr:`repro.netsim.packet.Packet.ttl`, so a header is never
-    copied in flight.
+    copied in flight.  Not frozen, since every packet builds one:
+    nothing changes or hashes a header once a packet holds it.
     """
 
     src: IPAddress

@@ -80,6 +80,7 @@ class ReassemblyBuffer:
         self.last_seen = first_seen
         self.fragments: List[Packet] = []
         self._have_offsets: set = set()
+        self._first: Optional[Packet] = None  # the offset-0 fragment
         self.total_payload: Optional[int] = None
         self._received_payload = 0
         #: Open reassembly span when span tracing is on.
@@ -96,6 +97,8 @@ class ReassemblyBuffer:
         if offset in self._have_offsets:
             raise PacketError(f"duplicate fragment offset {offset}")
         self._have_offsets.add(offset)
+        if offset == 0:
+            self._first = packet
         self.fragments.append(packet)
         self.last_seen = now
         payload = packet.ip.payload_bytes
@@ -107,17 +110,16 @@ class ReassemblyBuffer:
     def complete(self) -> bool:
         return (self.total_payload is not None
                 and self._received_payload >= self.total_payload
-                and any(p.ip.fragment_offset == 0 for p in self.fragments))
+                and self._first is not None)
 
     @property
     def received_bytes(self) -> int:
         return sum(p.ip_bytes for p in self.fragments)
 
     def first_fragment(self) -> Packet:
-        for packet in self.fragments:
-            if packet.ip.fragment_offset == 0:
-                return packet
-        raise PacketError("reassembly buffer has no first fragment")
+        if self._first is None:
+            raise PacketError("reassembly buffer has no first fragment")
+        return self._first
 
 
 class IpLayer:
@@ -147,7 +149,7 @@ class IpLayer:
                 host=host.name)
         self._next_ident = 1
         self._handlers: Dict[IpProtocol, Callable[[Datagram], None]] = {}
-        self._buffers: Dict[Tuple[IPAddress, IPAddress, int, IpProtocol],
+        self._buffers: Dict[Tuple[int, int, int, IpProtocol],
                             ReassemblyBuffer] = {}
         if host.sim.validator is not None:
             host.sim.validator.register_ip(self)
@@ -251,8 +253,9 @@ class IpLayer:
             return
 
         self.stats.fragments_received += 1
-        key = (packet.ip.src, packet.ip.dst, packet.ip.identification,
-               packet.ip.protocol)
+        ip = packet.ip
+        # Address values: an IPAddress hashes in a Python __hash__.
+        key = (ip.src.value, ip.dst.value, ip.identification, ip.protocol)
         buffer = self._buffers.get(key)
         if buffer is None:
             buffer = ReassemblyBuffer(first_seen=now)

@@ -33,7 +33,7 @@ from repro.telemetry.events import (
 from repro.telemetry.spans import STATUS_LOST
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netsim.engine import Event, Simulator
+    from repro.netsim.engine import Simulator
     from repro.netsim.node import Node
 
 
@@ -128,6 +128,11 @@ class DirectionStats:
     bytes_delivered: int = 0
 
 
+def _can_drop(loss: LossModel) -> bool:
+    """False only for a plain :class:`LossModel` that never drops."""
+    return type(loss) is not LossModel or loss.probability > 0.0
+
+
 def _no_jitter() -> float:
     """The jitter draw of a direction built without jitter."""
     return 0.0
@@ -187,6 +192,7 @@ class _Direction:
         self._propagation_delay = propagation_delay
         self._queue = queue
         self._loss = loss
+        self._lossy = _can_drop(loss)
         # The director draws from every direction's jitter, so a
         # direction without jitter still holds a callable.
         self._jitter = jitter if jitter is not None else _no_jitter
@@ -225,7 +231,7 @@ class _Direction:
         #: FIFO clamp from before it, which set_propagation_delay needs
         #: to re-time it.
         self._completion_sequence = 0
-        self._wire_delivery: Optional["Event"] = None
+        self._wire_delivery: Optional[list] = None
         self._clamp_before_wire = 0.0
         self._label = label
         if self._telemetry is not None:
@@ -244,7 +250,7 @@ class _Direction:
         if not self._up:
             self._drop_down(packet)
             return
-        if self._loss.should_drop(packet):
+        if self._lossy and self._loss.should_drop(packet):
             self.stats.packets_lost += 1
             if self._spans is not None and packet.span is not None:
                 self._spans.packet_dropped(packet, self._sim.now,
@@ -354,7 +360,9 @@ class _Direction:
             return
         # The completion takes the place _finish_transmit's event would
         # hold among same-time events, whenever it turns out to be due.
-        completion = sim.reserve_sequence()
+        # Simulator.reserve_sequence inline: it runs on every hop.
+        completion = sim._sequence
+        sim._sequence = completion + 1
         # _finish_transmit's arithmetic without the jitter term, done
         # now instead of when serialization ends.
         arrival = finish + self._propagation_delay
@@ -384,16 +392,17 @@ class _Direction:
         """
         self._propagation_delay = delay
         wire = self._wire_delivery
-        if (wire is None or wire.consumed
+        # The engine clears an entry's callback (wire[2]) when it fires.
+        if (wire is None or wire[2] is None
                 or self._sim.now > self._busy_until):
             return
         arrival = self._busy_until + delay
         if arrival < self._clamp_before_wire:
             arrival = self._clamp_before_wire
-        wire.cancel()
+        self._sim.cancel(wire)
         self._last_delivery = arrival
         self._wire_delivery = self._sim.schedule_at(arrival, self._deliver,
-                                                    *wire.args)
+                                                    *wire[3])
 
     def _finish_transmit(self, packet: Packet) -> None:
         arrival = (self._sim.now + self._propagation_delay
@@ -416,7 +425,11 @@ class _Direction:
         if self._telemetry is not None:
             self._telemetry.emit(PACKET_DELIVERED, link=self._label,
                                  packet_bytes=packet.ip_bytes)
-        self._sink.receive(packet)
+        sink = self._sink
+        # The sink's rx taps, then its hook, with no node frame between.
+        if sink.taps:
+            sink._notify_taps("rx", packet)
+        sink.handle_packet(packet)
 
 
 class Link:
@@ -524,8 +537,9 @@ class Link:
 
     def set_loss(self, loss: LossModel) -> None:
         """Swap the loss model (e.g. toggle Gilbert–Elliott bursts)."""
-        self._forward._loss = loss
-        self._reverse._loss = loss
+        for direction in (self._forward, self._reverse):
+            direction._loss = loss
+            direction._lossy = _can_drop(loss)
         self.sim.topology_epoch += 1
 
     @property

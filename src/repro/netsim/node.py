@@ -71,13 +71,16 @@ class Node:
     # ------------------------------------------------------------------
     def send_packet(self, packet: Packet) -> None:
         """Route a locally-originated packet out toward its destination."""
-        try:
-            next_hop = self.routing.lookup(packet.ip.dst)
-        except RoutingError:
-            if not self.drop_on_no_route:
-                raise
-            self._drop_no_route(packet)
-            return
+        # The routing memo, read here: a hit then costs no lookup frame.
+        next_hop = self.routing._memo.get(packet.ip.dst.value)
+        if next_hop is None:
+            try:
+                next_hop = self.routing.lookup(packet.ip.dst)
+            except RoutingError:
+                if not self.drop_on_no_route:
+                    raise
+                self._drop_no_route(packet)
+                return
         link = self.neighbors.get(next_hop)
         if link is None:
             if self.drop_on_no_route:
@@ -95,12 +98,6 @@ class Node:
             self.sim.telemetry.emit(NO_ROUTE_DROP, node=self.name,
                                     dst=str(packet.ip.dst),
                                     packet_bytes=packet.ip_bytes)
-
-    def receive(self, packet: Packet) -> None:
-        """Entry point for packets delivered by a link."""
-        if self.taps:
-            self._notify_taps("rx", packet)
-        self.handle_packet(packet)
 
     def handle_packet(self, packet: Packet) -> None:
         """Subclass hook: what to do with a delivered packet."""
@@ -186,7 +183,8 @@ class Host(Node):
         self.tcp = TcpLayer(self)
 
     def handle_packet(self, packet: Packet) -> None:
-        if packet.ip.dst != self.address:
+        # Integer values, as in Router.handle_packet.
+        if packet.ip.dst.value != self.address.value:
             # Hosts do not forward; a misrouted packet is silently
             # dropped (counted by the IP layer for diagnostics).
             self.ip.misrouted += 1

@@ -54,14 +54,16 @@ class Packet:
             ``None`` otherwise (and on all non-traced traffic).
         ip_bytes: size of the IP packet (header + payload).
         wire_bytes: size on an Ethernet wire, as a sniffer reports it.
+        is_fragment, is_trailing_fragment: the header's classification
+            (:attr:`IPv4Header.is_fragment` and ``is_trailing_fragment``).
 
-    ``ip_bytes`` and ``wire_bytes`` are plain attributes, not fields:
-    ``__post_init__`` computes them once from ``ip.total_length``, so
-    every hop that queues, serializes or counts the packet reads them
-    without a call.  They are fixed at construction, so a packet with a
-    different ``ip`` header must be built anew (the constructor or
-    ``dataclasses.replace``), never made by assigning ``ip``.  A
-    router's TTL change keeps them, since it keeps the size.  ``ttl``
+    The sizes and the two classifications are plain attributes, not
+    fields: ``__post_init__`` computes them once from ``ip``, so every
+    hop that queues, serializes, counts or reassembles the packet reads
+    them without a call.  They are fixed at construction, so a packet
+    with a different ``ip`` header must be built anew (the constructor
+    or ``dataclasses.replace``), never made by assigning ``ip``.  A
+    router's TTL change keeps them, since it keeps the header.  ``ttl``
     is a field, not such an attribute, because it changes in flight:
     ``dataclasses.replace``, copies, pickles and ``==`` all carry the
     current value.
@@ -76,23 +78,19 @@ class Packet:
     span: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total_length = self.ip.total_length
-        if total_length < self.ip.header_bytes:
+        ip = self.ip
+        total_length = ip.total_length
+        if total_length < ip.header_bytes:
             raise PacketError(
                 f"IP total_length {total_length} smaller than header")
-        if self.ip.is_trailing_fragment and self.transport is not None:
+        trailing = ip.is_trailing_fragment
+        if trailing and self.transport is not None:
             raise PacketError("trailing fragments must not carry a "
                               "transport header")
         self.ip_bytes: int = total_length
         self.wire_bytes: int = units.wire_frame_bytes(total_length)
-
-    @property
-    def is_fragment(self) -> bool:
-        return self.ip.is_fragment
-
-    @property
-    def is_trailing_fragment(self) -> bool:
-        return self.ip.is_trailing_fragment
+        self.is_fragment: bool = ip.is_fragment
+        self.is_trailing_fragment: bool = trailing
 
     @property
     def protocol(self) -> IpProtocol:

@@ -71,8 +71,8 @@ SPANS_REFUSAL = ("the flow-level fast path emits no per-hop span events; "
 class Span:
     """One node of the provenance forest.
 
-    A slotted plain class, like the engine's ``Event``: a full study
-    creates one of these per packet per hop stage.
+    A slotted plain class, not a dataclass: a full study creates one
+    of these per packet per hop stage.
 
     Attributes:
         id: recorder-assigned monotonic id (deterministic under seed).

@@ -273,10 +273,12 @@ def test_fused_walk_matches_train_schedule_chain(path, fragments,
              for size in [full] * (fragments - 1) + [last_fragment]]
     left.udp.bind_ephemeral().send(right.address, 5004, payload)
     director = sim.fast_path
+    # Heap entries are [time, sequence, callback, args]; the director
+    # schedules the final direction's delivery of each packet.
     committed = sorted(
-        (sequence, event.time, event.args[1].wire_bytes)
-        for _, sequence, event in sim._heap
-        if event.callback == director._finish_virtual)
+        (sequence, time, args[0].wire_bytes)
+        for time, sequence, callback, args in sim._heap
+        if callback == directions[-1]._deliver)
     after = [(direction._reserved_until, direction._fp_last_entry,
               direction._last_delivery) for direction in directions]
     expected, state, refused_at = _reference(wires, path, drawn)

@@ -114,7 +114,7 @@ class TestRunControl:
         sim = Simulator()
         fired = []
         event = sim.schedule_at(1.0, fired.append, "x")
-        event.cancel()
+        sim.cancel(event)
         sim.schedule_at(2.0, fired.append, "y")
         sim.run()
         assert fired == ["y"]
@@ -133,7 +133,7 @@ class TestRunControl:
         sim = Simulator()
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending_events == 1
         sim.run()
         assert sim.executed_events == 1

@@ -1,6 +1,8 @@
 """Link serialization, queueing, loss, and jitter tests."""
 
+import collections
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +14,10 @@ from repro.netsim.engine import Simulator
 from repro.netsim.flowlevel import FlowLevelConfig
 from repro.netsim.headers import IPv4Header, IpProtocol
 from repro.netsim.link import Link, LossModel
-from repro.netsim.node import Node
+from repro.netsim.node import Node, Router
 from repro.netsim.packet import Packet
+from repro.netsim.queues import DropTailQueue
+from repro.netsim.topology import build_path_topology
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import SpanRecorder
 
@@ -272,6 +276,52 @@ class TestEventCount:
     ], ids=["jitter-callable", "span-tracing", "flow-level-director"])
     def test_two_event_transmitter_kept(self, make_sim, jitter):
         assert self.spaced_and_burst_events(make_sim(), jitter) == (40, 40)
+
+
+class TestCallsPerHop:
+    """What one warm router hop costs, in Python function calls.
+
+    A second 500-byte datagram crosses an idle jitter-free path whose
+    routes are already memoized; one more router adds one hop to it.
+    The count is exact on any machine, so a rise shows without a timer.
+    A hop is :meth:`_Direction._deliver`, ``Router.handle_packet``,
+    ``Node.send_packet``, ``Link.send_from``, ``_Direction.send``,
+    ``DropTailQueue.offer``, ``_Direction._transmit_next``,
+    ``DropTailQueue.poll`` and ``Simulator.schedule_at``.
+    """
+
+    CALLS_PER_HOP = 9
+
+    @staticmethod
+    def second_datagram_calls(hop_count):
+        sim = Simulator(seed=1)
+        path = build_path_topology(sim, hop_count=hop_count, jitter_std=0.0)
+        socket = path.server.udp.bind_ephemeral()
+        socket.send(path.client.address, 5004, 500)
+        sim.run()
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        sys.setprofile(count)
+        try:
+            socket.send(path.client.address, 5004, 500)
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_warm_hop_call_count(self):
+        longer = self.second_datagram_calls(11)
+        shorter = self.second_datagram_calls(10)
+        assert (sum(longer.values()) - sum(shorter.values())
+                == self.CALLS_PER_HOP)
+        for function in (Router.handle_packet, Link.send_from,
+                         DropTailQueue.offer, DropTailQueue.poll):
+            code = function.__code__
+            assert longer[code] - shorter[code] == 1, function.__qualname__
 
 
 BANDWIDTHS = (units.kbps(64), units.mbps(1), units.mbps(10))

@@ -75,7 +75,8 @@ class TestPacket:
 
     def test_forwarded_decrements_ttl_keeps_identity(self):
         # A router sends on the very packet it received, one TTL lower.
-        path = build_path_topology(Simulator(seed=1), hop_count=2)
+        sim = Simulator(seed=1)
+        path = build_path_topology(sim, hop_count=2)
         router = path.routers[0]
         packet = Packet(ip=make_header(src=path.server.address,
                                        dst=path.client.address),
@@ -84,7 +85,8 @@ class TestPacket:
         seen = []
         router.add_tap(lambda direction, tapped, now: seen.append(
             (direction, tapped is packet, tapped.ttl)))
-        router.receive(packet)
+        path.server.neighbors[router].send_from(path.server, packet)
+        sim.run()
         assert seen == [("rx", True, 5), ("tx", True, 4)]
         assert (packet.uid, packet.datagram_id) == (uid, 99)
         assert packet.transport is UDP

@@ -47,8 +47,8 @@ class TestEngineOrderingProperty:
                   for index, (time, _) in enumerate(plan)]
         for event, (_, cancel) in zip(events, plan):
             if cancel:
-                event.cancel()
-                event.cancel()  # a second cancel changes nothing
+                sim.cancel(event)
+                sim.cancel(event)  # a second cancel changes nothing
         kept = [index for index, (_, cancel) in enumerate(plan)
                 if not cancel]
         assert sim.pending_events == len(kept)
@@ -57,7 +57,7 @@ class TestEngineOrderingProperty:
         assert sim.executed_events == len(kept)
         assert sim.pending_events == 0
         for event in events:
-            event.cancel()  # cancelling a fired event changes nothing
+            sim.cancel(event)  # cancelling a fired event changes nothing
         assert sim.pending_events == 0
 
     @given(st.lists(st.floats(min_value=0.001, max_value=10.0),

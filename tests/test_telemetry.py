@@ -231,8 +231,8 @@ class TestEngineIntegration:
         sim = Simulator()
         events = [sim.schedule_at(float(i), lambda: None) for i in range(5)]
         assert sim.pending_events == 5
-        events[0].cancel()
-        events[0].cancel()  # double cancel must not double-decrement
+        sim.cancel(events[0])
+        sim.cancel(events[0])  # double cancel must not double-decrement
         assert sim.pending_events == 4
         sim.run(until=2.5)
         assert sim.pending_events == 2
@@ -244,14 +244,14 @@ class TestEngineIntegration:
         event = sim.schedule_at(1.0, lambda: None)
         sim.run()
         assert sim.pending_events == 0
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending_events == 0
 
     def test_pending_counter_with_step(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
         cancelled = sim.schedule_at(2.0, lambda: None)
-        cancelled.cancel()
+        sim.cancel(cancelled)
         sim.schedule_at(3.0, lambda: None)
         assert sim.pending_events == 2
         assert sim.step()
