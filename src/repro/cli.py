@@ -58,6 +58,7 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 
 #: The run-spec flags commands share, by name: (option strings, argparse
@@ -322,16 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> int:
-    """Report a bad argument on stderr; exit status 2, like argparse."""
-    print(message, file=sys.stderr)
-    return 2
-
-
-class _UsageError(Exception):
-    """A bad argument: :func:`main` prints it on stderr and exits 2."""
-
-
 #: Every flag that names a file a command writes, under whichever
 #: commands have it (14 in all); :func:`main` checks each one given
 #: before the command runs, so a bad path costs no simulation.
@@ -346,7 +337,7 @@ def _check_output(flag: str, path: Optional[str]) -> None:
     file keeps its bytes until the command writes it.
 
     Raises:
-        _UsageError: naming ``flag``.
+        ReproError: naming ``flag``.
     """
     if not path:
         return
@@ -360,7 +351,7 @@ def _check_output(flag: str, path: Optional[str]) -> None:
         reason = "permission denied"
     else:
         return
-    raise _UsageError(f"{flag}: cannot write {path}: {reason}")
+    raise ReproError(f"{flag}: cannot write {path}: {reason}")
 
 
 def _check_positive(label: str, value: float) -> None:
@@ -368,20 +359,20 @@ def _check_positive(label: str, value: float) -> None:
     ``inf`` parse as floats, and NaN passes a plain ``<= 0`` test.
 
     Raises:
-        _UsageError: naming ``label``.
+        ReproError: naming ``label``.
     """
     if not (math.isfinite(value) and value > 0):
-        raise _UsageError(f"{label} must be positive and finite, got {value}")
+        raise ReproError(f"{label} must be positive and finite, got {value}")
 
 
 def _check_nonnegative(label: str, value: float) -> None:
     """Refuse a negative value, or NaN, which passes a plain ``< 0`` test.
 
     Raises:
-        _UsageError: naming ``label``.
+        ReproError: naming ``label``.
     """
     if not value >= 0:
-        raise _UsageError(f"{label} must be >= 0, got {value}")
+        raise ReproError(f"{label} must be >= 0, got {value}")
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -389,11 +380,10 @@ def _spec_from_args(args: argparse.Namespace):
     describe, checked against the compatibility table.
 
     Raises:
-        _UsageError: for a bad value or a refused feature pair.
+        ReproError: for a bad value or a refused feature pair.
     """
     from repro.cc.abr import AbrConfig
     from repro.cc.base import CcConfig
-    from repro.errors import ReproError
     from repro.experiments.datasets import build_table1_library
     from repro.experiments.spec import RunSpec
     from repro.faults import build_scenario
@@ -408,29 +398,26 @@ def _spec_from_args(args: argparse.Namespace):
     fault = options.get("scenario") or options.get("fault_scenario")
     cc_kind = options.get("controller") or options.get("cc_kind")
     fast_path = options.get("fast_path")
-    try:
-        library = None
-        if options.get("set_number") is not None:
-            library = build_table1_library(
-                duration_scale=args.scale).only_set(args.set_number)
-        repair = None
-        if "fec_group" in options:  # `repro repair` tunes what it arms
-            repair = RepairConfig(fec_group=args.fec_group,
-                                  nack=not args.no_nack)
-        elif options.get("repair"):
-            repair = RepairConfig()
-        spec = RunSpec(
-            library=library, seed=args.seed, duration_scale=args.scale,
-            scenario=(build_scenario(fault, args.seed)
-                      if fault is not None else None),
-            cc=CcConfig(kind=cc_kind) if cc_kind is not None else None,
-            abr=AbrConfig() if options.get("abr") else None,
-            repair=repair,
-            fast_path=(FlowLevelConfig(strict=fast_path == "strict")
-                       if fast_path is not None else None))
-        spec.check()
-    except ReproError as exc:
-        raise _UsageError(f"error: {exc}") from exc
+    library = None
+    if options.get("set_number") is not None:
+        library = build_table1_library(
+            duration_scale=args.scale).only_set(args.set_number)
+    repair = None
+    if "fec_group" in options:  # `repro repair` tunes what it arms
+        repair = RepairConfig(fec_group=args.fec_group,
+                              nack=not args.no_nack)
+    elif options.get("repair"):
+        repair = RepairConfig()
+    spec = RunSpec(
+        library=library, seed=args.seed, duration_scale=args.scale,
+        scenario=(build_scenario(fault, args.seed)
+                  if fault is not None else None),
+        cc=CcConfig(kind=cc_kind) if cc_kind is not None else None,
+        abr=AbrConfig() if options.get("abr") else None,
+        repair=repair,
+        fast_path=(FlowLevelConfig(strict=fast_path == "strict")
+                   if fast_path is not None else None))
+    spec.check()
     return spec
 
 
@@ -440,7 +427,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     import time
     from dataclasses import replace
 
-    from repro.errors import AnalysisError
     from repro.experiments.report import build_report
     from repro.experiments.runner import run_spec
 
@@ -518,10 +504,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     # ru_maxrss is KiB on Linux: the process-lifetime high-water mark,
     # which is exactly the number the bounded-memory claim is about.
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    try:
-        report = build_report(study, plots=args.plots)
-    except AnalysisError as exc:
-        raise _UsageError(f"error: {exc}") from exc
+    report = build_report(study, plots=args.plots)
     print(f"# study sweep: {len(study)} pair runs in {elapsed:.2f}s "
           f"(seed {args.seed}, scale {args.scale}{jobs_note}{exec_note}"
           f"{fast_note}, {source}, peak rss {peak_kib / 1024:.0f} MiB)\n")
@@ -551,20 +534,15 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.errors import AnalysisError
     from repro.experiments.figures import ALL_FIGURES
     from repro.experiments.report import generate_figure
     from repro.experiments.runner import run_spec
 
     if args.figure_id not in ALL_FIGURES:
-        print(f"unknown figure {args.figure_id!r}; choose from: "
-              f"{', '.join(sorted(ALL_FIGURES))}", file=sys.stderr)
-        return 2
+        raise ReproError(f"unknown figure {args.figure_id!r}; choose from: "
+                         f"{', '.join(sorted(ALL_FIGURES))}")
     study = run_spec(_spec_from_args(args))
-    try:
-        result = generate_figure(args.figure_id, study)
-    except AnalysisError as exc:
-        raise _UsageError(f"error: {exc}") from exc
+    result = generate_figure(args.figure_id, study)
     print(result.render(plot=args.plots))
     if args.csv:
         with open(args.csv, "w") as stream:
@@ -579,8 +557,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
     _check_positive("kbps", args.kbps)
     if not 0.0 <= args.loss <= 1.0:
-        return _usage_error(
-            f"loss must be a fraction in [0, 1], got {args.loss}")
+        raise ReproError(f"loss must be a fraction in [0, 1], got {args.loss}")
     _check_positive("--rtt", args.rtt)
     _check_positive("--duration", args.duration)
     family = (PlayerFamily.REAL if args.family == "real"
@@ -606,18 +583,14 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.core.turbulence import TurbulenceProfile
-    from repro.errors import AnalysisError, ExperimentError
     from repro.experiments.aggregate import run_boundary_study
 
     _check_positive("--clients", args.clients)
     _check_positive("--duration", args.duration)
     _check_positive("--kbps", args.kbps)
-    try:
-        result = run_boundary_study(client_count=args.clients,
-                                    duration=args.duration,
-                                    encoded_kbps=args.kbps, seed=args.seed)
-    except (AnalysisError, ExperimentError) as exc:
-        raise _UsageError(f"error: {exc}") from exc
+    result = run_boundary_study(client_count=args.clients,
+                                duration=args.duration,
+                                encoded_kbps=args.kbps, seed=args.seed)
     print(format_table(TurbulenceProfile.SUMMARY_HEADERS,
                        [p.summary_row()
                         for p in result.per_flow_profiles]))
@@ -644,7 +617,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.core.generator import generate_flow
     from repro.core.turbulence import TurbulenceProfile
     from repro.analysis.report import format_table
-    from repro.errors import AnalysisError
     from repro.media.clip import PlayerFamily
 
     _check_positive("kbps", args.kbps)
@@ -652,11 +624,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     family = (PlayerFamily.REAL if args.family == "real"
               else PlayerFamily.WMP)
     flow = generate_flow(family, args.kbps, args.duration, seed=args.seed)
-    try:
-        profile = fit_schedule(
-            flow, f"{args.family} {args.kbps:.0f}K").profile
-    except AnalysisError as exc:
-        raise _UsageError(f"error: {exc}") from exc
+    profile = fit_schedule(flow, f"{args.family} {args.kbps:.0f}K").profile
     print(f"generated {flow.packet_count} packets "
           f"({flow.total_wire_bytes / 1024:.0f} KiB) over "
           f"{flow.streaming_duration:.1f}s")
@@ -676,13 +644,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_pcap_info(args: argparse.Namespace) -> int:
     from repro.capture.pcap import read_pcap
     from repro.capture.reassembly import fragmentation_percent
-    from repro.errors import ReproError
 
-    try:
-        trace = read_pcap(args.path)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trace = read_pcap(args.path)
     print(f"{args.path}: {len(trace)} packets, "
           f"{trace.total_wire_bytes / 1024:.0f} KiB, "
           f"{trace.duration:.1f}s")
@@ -696,14 +659,13 @@ def _cmd_pcap_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
-    from repro.errors import AnalysisError, ExperimentError
     from repro.experiments.runner import run_spec
     from repro.experiments.scorecard import render_scorecard, run_scorecard
 
     for flag, value in (("--transports", args.transports),
                         ("--svg", args.svg)):
         if value is not None and not args.modern:
-            raise _UsageError(f"{flag} needs --modern")
+            raise ReproError(f"{flag} needs --modern")
     spec = _spec_from_args(args)
     if args.modern:
         from repro.experiments.modern import (
@@ -716,22 +678,15 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
                             for name in args.transports.split(",")
                             if name.strip())
                       if args.transports else None)
-        try:
-            card = run_modern_scorecard(spec, jobs=args.jobs,
-                                        transports=transports)
-        except (AnalysisError, ExperimentError) as exc:
-            raise _UsageError(f"error: {exc}") from exc
+        card = run_modern_scorecard(spec, jobs=args.jobs,
+                                    transports=transports)
         print(render_modern_scorecard(card))
         if args.svg:
             with open(args.svg, "w") as stream:
                 stream.write(scorecard_svg(card))
             print(f"wrote {args.svg}")
         return 0
-    study = run_spec(spec)
-    try:
-        results = run_scorecard(study)
-    except AnalysisError as exc:
-        raise _UsageError(f"error: {exc}") from exc
+    results = run_scorecard(run_spec(spec))
     print(render_scorecard(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -747,7 +702,7 @@ def _cmd_cc(args: argparse.Namespace) -> int:
             print(f"{name:<8} {description}")
         return 0
     if args.controller is None:
-        return _usage_error(
+        raise ReproError(
             "a controller name is required (or --list to see them)")
     spec = _spec_from_args(args)
     config = spec.cc
@@ -757,9 +712,9 @@ def _cmd_cc(args: argparse.Namespace) -> int:
                if event.type == CC_STATE]
     telemetry.close()
     if not samples:
+        why = " (the null controller arms nothing)" if config.is_null else ""
         print(f"error: controller {config.kind!r} recorded no cc_state "
-              "samples (the null controller arms nothing); nothing to "
-              "summarize", file=sys.stderr)
+              f"samples{why}; nothing to summarize", file=sys.stderr)
         return 1
     print(f"# cc {config.kind}: {len(study)} pair runs, "
           f"{len(samples)} state samples (seed {args.seed}, "
@@ -1043,9 +998,8 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     config = spec.repair
     if config.is_null:
-        return _usage_error(
-            "error: --fec-group 0 with --no-nack arms no repair "
-            "mechanism at all; nothing to report")
+        raise ReproError("--fec-group 0 with --no-nack arms no repair "
+                         "mechanism at all; nothing to report")
     telemetry = Telemetry(sinks=[MemorySink(capacity=None)])
     study = run_spec(replace(spec, stream=True), telemetry=telemetry)
     telemetry.close()
@@ -1164,17 +1118,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                         for metric in args.metrics.split(",")
                         if metric.strip())
         if not metrics:
-            return _usage_error("--metric needs at least one metric name")
+            raise ReproError("--metric needs at least one metric name")
     else:
         metrics = DEFAULT_METRICS
     _check_nonnegative("--idle-timeout", args.idle_timeout)
-    try:
-        rules = build_rules(metrics, z_threshold=args.z,
-                            window=args.window,
-                            min_baseline=args.min_baseline,
-                            min_delta=args.min_delta)
-    except AnalysisError as exc:
-        return _usage_error(f"error: {exc}")
+    rules = build_rules(metrics, z_threshold=args.z, window=args.window,
+                        min_baseline=args.min_baseline,
+                        min_delta=args.min_delta)
     try:
         if args.follow:
             report = watch_records(
@@ -1182,9 +1132,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 rules)
         else:
             report = watch_records(load_records(args.path), rules)
-    except OSError as exc:
-        return _usage_error(f"error: {exc}")
-    except AnalysisError as exc:
+    except AnalysisError as exc:  # a malformed record: a problem found
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"# watch: {report.records_checked} run records, "
@@ -1273,14 +1221,19 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line: 0 on success, 1 when the command ran and
+    found a problem, and 2 after one ``error:`` line on stderr for an
+    input any layer refuses with a :class:`~repro.errors.ReproError` or
+    an :class:`OSError` (argparse exits 2 itself on a malformed line)."""
     args = build_parser().parse_args(argv)
     try:
         for flag in _OUTPUT_FLAGS:
             _check_output(flag, getattr(args, flag[2:].replace("-", "_"),
                                         None))
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        return _usage_error(str(exc))
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution

@@ -15,6 +15,7 @@ Ties the Section IV models to the rest of the library:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
@@ -115,10 +116,14 @@ def generate_flow(family: PlayerFamily, encoded_kbps: float,
     """Generate a Section IV flow.
 
     Raises:
-        MediaError: for nonpositive rate or duration.
+        MediaError: for nonpositive rate or duration, or a byte budget
+            that overflows to infinity.
     """
     if duration <= 0:
         raise MediaError(f"duration must be positive: {duration}")
+    if not math.isfinite(units.kbps(encoded_kbps) * duration):
+        raise MediaError(f"a {duration:g} s flow at {encoded_kbps:g} Kbps "
+                         f"is too long to generate")
     model = flow_model_for(family, encoded_kbps, random.Random(seed))
     return SyntheticFlow(family=family, encoded_kbps=encoded_kbps,
                          duration=duration,

@@ -267,7 +267,7 @@ def run_scorecard(study: StudyResults) -> List[ScoreRow]:
     Raises:
         ExperimentError: for an empty study.
         AnalysisError: naming the claim, when ``study`` is too short
-            for its check.
+            for its check (an empty sample included).
     """
     if len(study) == 0:
         raise ExperimentError("empty study")
@@ -275,7 +275,7 @@ def run_scorecard(study: StudyResults) -> List[ScoreRow]:
     for artifact, claim, function in _CHECKS:
         try:
             measured, passed = function(study)
-        except AnalysisError as exc:
+        except (AnalysisError, statistics.StatisticsError) as exc:
             raise AnalysisError(f"{artifact}: {claim}: {exc}") from exc
         results.append(ScoreRow(artifact=artifact, label=claim,
                                 cells=(measured,), passed=passed))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -131,7 +132,9 @@ class _RollingBaseline:
     __slots__ = ("values",)
 
     def __init__(self, window: int) -> None:
-        self.values: Deque[float] = deque(maxlen=window)
+        # No deque holds more than sys.maxsize values: clamp a larger
+        # window to it.
+        self.values: Deque[float] = deque(maxlen=min(window, sys.maxsize))
 
     def observe(self, value: float) -> None:
         self.values.append(value)

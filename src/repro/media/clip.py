@@ -11,6 +11,7 @@ dataset built on these classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,12 +39,13 @@ class ClipEncoding:
     advertised_kbps: float
 
     def __post_init__(self) -> None:
-        if self.encoded_kbps <= 0:
-            raise MediaError(
-                f"encoded rate must be positive, got {self.encoded_kbps}")
-        if self.advertised_kbps <= 0:
-            raise MediaError(
-                f"advertised rate must be positive, got {self.advertised_kbps}")
+        # In bits per second too: 1e308 Kbps is a finite float, but the
+        # rate the codec spends is not.
+        for name, rate in (("encoded", self.encoded_kbps),
+                           ("advertised", self.advertised_kbps)):
+            if not (rate > 0 and math.isfinite(units.kbps(rate))):
+                raise MediaError(f"{name} rate must be positive and finite, "
+                                 f"got {rate:g} Kbps")
 
     @property
     def encoded_bps(self) -> float:
@@ -61,8 +63,9 @@ class Clip:
     encoding: ClipEncoding
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise MediaError(f"duration must be positive, got {self.duration}")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise MediaError(
+                f"duration must be positive and finite, got {self.duration:g}")
         # The paper's clip-selection rule: lengths between 30 s and 5 min.
         # Enforced softly — the library warns at build time, not here —
         # because users may model clips outside the study's range.

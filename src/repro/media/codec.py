@@ -78,10 +78,19 @@ class SyntheticCodec:
         The byte budget (encoded rate × duration) is spread over frames
         so that each GOP honors the keyframe/delta size ratio and the
         whole schedule sums to the budget within rounding.
+
+        Raises:
+            MediaError: when the frame count or the byte budget overflows
+                to infinity.
         """
         fps = nominal_frame_rate(clip.family, clip.encoded_kbps)
-        frame_count = max(1, int(round(clip.duration * fps)))
+        frames = clip.duration * fps
         budget = clip.total_media_bytes
+        if not (math.isfinite(frames) and math.isfinite(budget)):
+            raise MediaError(
+                f"a {clip.duration:g} s clip at {clip.encoded_kbps:g} Kbps "
+                f"is too long to encode")
+        frame_count = max(1, int(round(frames)))
         gop = _GOP_LENGTH[clip.family]
         key_ratio = _KEYFRAME_RATIO[clip.family]
         jitter = _DELTA_JITTER[clip.family]

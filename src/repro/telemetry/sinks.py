@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from collections import deque
 from typing import Deque, Optional, Union
 
@@ -40,13 +41,16 @@ class MemorySink:
     ``capacity=None`` makes the ring unbounded — the parallel study
     executor uses that in worker processes, where dropping an event
     would silently diverge the merged stream from a sequential run's.
+    A capacity above ``sys.maxsize`` is clamped to it: no deque holds
+    more.
     """
 
     active = True
 
     def __init__(self,
                  capacity: Optional[int] = DEFAULT_RING_CAPACITY) -> None:
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.events: Deque[TraceEvent] = deque(
+            maxlen=None if capacity is None else min(capacity, sys.maxsize))
         self.dropped = 0
 
     def write(self, event: TraceEvent) -> None:

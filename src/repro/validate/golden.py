@@ -11,9 +11,10 @@ regression test and must either fix the regression or consciously
 re-pin via ``python scripts/update_goldens.py``.
 
 Most scenarios study one clip set under one opt-in feature (faults,
-congestion control, ABR, repair, the fast path).  Three more sweep the
-whole Table 1 library, packet-level and on the fast path in both its
-modes, because every figure draws on all thirteen pairs: their
+congestion control, ABR, repair, the fast path).  Four more sweep the
+whole Table 1 library, packet-level, on the fast path in both its
+modes, and under burst loss with repair armed, because every figure
+draws on all thirteen pairs: their
 documents also pin each paper artifact (``figure[<id>]``, a digest of
 its ``render()`` plus ``to_csv()``), so a change to the analysis shows
 even when every packet stays put.
@@ -135,6 +136,13 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
                         "rendered from them",
             seed=424, set_number=None, duration_scale=0.04,
             fast_path=True, strict=False),
+        GoldenScenario(
+            name="table1_burstloss_repair",
+            description="All 13 Table 1 pairs under burst loss with the "
+                        "loss-repair stack armed, plus every paper "
+                        "artifact rendered from them",
+            seed=424, set_number=None, duration_scale=0.04,
+            fault="burst-loss", repair=True),
     )
 }
 

@@ -250,6 +250,15 @@ class TestCcCommand:
         assert main(["cc", "null", "--scale", "0.06"]) == 1
         err = capsys.readouterr().err
         assert "no cc_state samples" in err
+        assert "(the null controller arms nothing)" in err
+
+    def test_armed_controller_empty_report_is_not_called_null(self, capsys):
+        # Clips too short to send one feedback report: AIMD is armed
+        # but samples nothing.
+        assert main(["cc", "aimd", "--scale", "0.001"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: controller 'aimd' recorded no cc_state "
+                       "samples; nothing to summarize\n")
 
 
 class TestModernScorecardCommand:
@@ -293,6 +302,9 @@ class TestTooSmallToAnalyse:
         (["scorecard", "--modern", "--scale", "0.001"],
          "error: fig06-09: interarrival CV: need at least two arrivals "
          "for interarrivals"),
+        (["scorecard", "--scale", "0.01"],
+         "error: fig12: WMP app receives ~10-packet batches once per "
+         "second: "),
     ])
     def test_exits_two_with_one_line(self, argv, message, capsys):
         assert main(argv) == 2
@@ -300,6 +312,66 @@ class TestTooSmallToAnalyse:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(message)
+
+
+#: Every command that builds the Table 1 library from ``--scale``.
+SCALED_COMMANDS = [["study", "--no-cache"], ["figure", "fig01"],
+                   ["telemetry"], ["spans"], ["faults"], ["cc", "aimd"],
+                   ["repair"], ["validate"], ["scorecard"]]
+
+
+class TestRefusedBelowTheCli:
+    """Inputs a layer under the CLI refuses: status 2 and one ``error:``
+    line, not an exception out of ``main``."""
+
+    @pytest.mark.parametrize("argv", SCALED_COMMANDS,
+                             ids=[argv[0] for argv in SCALED_COMMANDS])
+    def test_scale_too_large_for_a_clip(self, argv, capsys):
+        # Every Table 1 clip's length overflows to infinity.
+        assert main(argv + ["--scale", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: duration must be positive and "
+                                "finite, got inf\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["boundary", "--duration", "1e308"],
+         "a 1e+308 s clip at 150 Kbps is too long to encode"),
+        (["boundary", "--kbps", "1e308"],
+         "encoded rate must be positive and finite, got 1e+308 Kbps"),
+        (["probe", "wmp", "300", "0.01", "--duration", "1e308"],
+         "a 1e+308 s clip at 300 Kbps is too long to encode"),
+        (["probe", "real", "0.001", "0.5", "--duration", "1"],
+         "probe stream delivered nothing"),
+        (["probe", "wmp", "300", "0.01", "--duration", "5",
+          "--rtt", "1e308"],
+         "no statistics: playback never started"),
+        (["boundary", "--clients", "70000", "--duration", "5"],
+         "subnet 130.215.0.0/16 exhausted"),
+        (["generate", "wmp", "1e308", "5"],
+         "a 5 s flow at 1e+308 Kbps is too long to generate"),
+        (["generate", "wmp", "300", "1e308"],
+         "a 1e+308 s flow at 300 Kbps is too long to generate"),
+    ])
+    def test_exits_two_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+class TestBoundsBeyondADeque:
+    """A ring or window bound above ``sys.maxsize`` holds everything."""
+
+    def test_ring_capacity(self, capsys):
+        assert main(["telemetry", "--scale", "0.01",
+                     "--ring-capacity", str(2 ** 63)]) == 0
+        assert "dropped=" not in capsys.readouterr().err
+
+    def test_watch_window(self, tmp_path, capsys):
+        path = TestWatchCommand._write(tmp_path, [0.01] * 4)
+        assert main(["watch", path, "--window", str(2 ** 63)]) == 0
+        assert "no anomalies" in capsys.readouterr().out
 
 
 class TestScorecardModernOnlyFlags:
@@ -310,7 +382,7 @@ class TestScorecardModernOnlyFlags:
         assert main(["scorecard", "--scale", "0.02", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{flag} needs --modern\n"
+        assert captured.err == f"error: {flag} needs --modern\n"
         assert not (tmp_path / "card.svg").exists()
 
 

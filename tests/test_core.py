@@ -138,6 +138,12 @@ class TestSyntheticFlow:
         # 100 ms ticks at 307.2 Kbps -> 3840-byte ADUs.
         assert payloads[0] == 3840
 
+    @pytest.mark.parametrize("kbps, duration", [(1e308, 5.0),
+                                                (300.0, 1e308)])
+    def test_overflowing_byte_budget_rejected(self, kbps, duration):
+        with pytest.raises(MediaError, match="too long to generate"):
+            generate_flow(PlayerFamily.WMP, kbps, duration)
+
     def test_same_seed_reproducible(self):
         first = generate_flow(PlayerFamily.REAL, 100.0, 20.0, seed=9)
         second = generate_flow(PlayerFamily.REAL, 100.0, 20.0, seed=9)

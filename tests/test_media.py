@@ -1,5 +1,6 @@
 """Media package tests: clips, codec model, frame schedules, library."""
 
+import math
 import random
 
 import pytest
@@ -41,6 +42,19 @@ class TestClip:
             make_clip(advertised=-5)
         with pytest.raises(MediaError):
             make_clip(duration=0)
+
+    @pytest.mark.parametrize("field", ["kbps", "advertised", "duration"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # NaN and infinity pass a plain `<= 0` test.
+        with pytest.raises(MediaError, match="positive and finite"):
+            make_clip(**{field: value})
+
+    @pytest.mark.parametrize("field", ["kbps", "advertised"])
+    def test_rate_infinite_in_bits_per_second_rejected(self, field):
+        # 1e308 Kbps is a finite float; the same rate in bit/s is not.
+        with pytest.raises(MediaError, match="got 1e[+]308 Kbps"):
+            make_clip(**{field: 1e308})
 
 
 class TestFrameRateModel:
@@ -105,6 +119,18 @@ class TestSyntheticCodec:
             mean = sum(deltas) / len(deltas)
             return (max(deltas) - min(deltas)) / mean
         assert spread(PlayerFamily.REAL) > spread(PlayerFamily.WMP)
+
+    @pytest.mark.parametrize("kbps, duration, message", [
+        (300.0, 1e308, "a 1e+308 s clip at 300 Kbps is too long to encode"),
+        (1e305, 30.0, "a 30 s clip at 1e+305 Kbps is too long to encode"),
+    ], ids=["frame-count", "byte-budget"])
+    def test_overflowing_schedule_rejected(self, kbps, duration, message):
+        # A finite clip whose frame count or byte budget overflows to
+        # infinity; the values are named in short form, not 309 digits.
+        clip = make_clip(kbps=kbps, duration=duration)
+        with pytest.raises(MediaError) as excinfo:
+            SyntheticCodec().encode(clip)
+        assert str(excinfo.value) == message
 
     def test_deterministic_for_same_rng_seed(self):
         clip = make_clip()
